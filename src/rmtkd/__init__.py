@@ -10,18 +10,18 @@ accuracy floor, or iteration cap fires.
 
 from .data import (Dataset, SplitSpec, load_csv, planted_subspace_task,
                    sample_noise_matrix, sample_spiked, save_csv, split)
-from .distill import (DistillConfig, TeacherSnapshot, accuracy, combined_loss,
-                      kl_divergence, snapshot_teacher, softmax, train_until)
+from .distill import (DistillConfig, accuracy, combined_loss, kl_divergence,
+                      snapshot_teacher, softmax, train_until)
 from .errors import (AlreadyProjected, ConfigError, CorruptFile,
                      DegenerateSpectrum, GenerationFailure, InvalidInput,
-                     InvalidState, NoSpikes, NumericalFailure, ParseError,
-                     RmtkdError, SchemaError, VersionMismatch)
+                     NoSpikes, NumericalFailure, ParseError, RmtkdError,
+                     SchemaError, VersionMismatch)
 from .network import (Checkpoint, DenseLayer, Network, backward, forward,
                       init_network, load_checkpoint, param_count,
                       save_checkpoint, sgd_step)
 from .reducer import (CompressionPlan, IterationRecord, Projection,
-                      apply_projection, build_projection, compress_step,
-                      quantile_ablation, run_loop)
+                      analyse_layer, apply_projection, build_projection,
+                      compress_step, quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal
 from .spectral import (ActivationMatrix, HistogramFit, MPModel, Spectrum,
                        SpectralPartition, bbp_threshold, classify,

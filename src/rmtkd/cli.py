@@ -24,19 +24,15 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data import Dataset, SplitSpec, load_csv, planted_subspace_task, split
+from .data import SplitSpec, load_csv, planted_subspace_task, split
 from .distill import DistillConfig, accuracy, train_until
 from .errors import ConfigError, InvalidInput, RmtkdError
 from .network import (Checkpoint, CHECKPOINT_VERSION, init_network,
                       load_checkpoint, param_count, save_checkpoint)
-from .reducer import (CompressionPlan, _hidden_layer_index, quantile_ablation,
-                      run_loop)
+from .reducer import (CompressionPlan, _hidden_layer_index, analyse_layer,
+                      quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal, rng_state_bytes
-from .spectral import (MPModel, classify, compute_covariance, eig_sym,
-                       fit_sigma2, init_sigma2, spectrum_to_csv)
-from .network import forward
+from .spectral import spectrum_to_csv
 
 DEFAULT_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -183,16 +179,9 @@ def write_outputs(outdir, staged):
 
 
 def _checkpoint_bytes(net, rng, metrics):
-    cp = Checkpoint(format_version=CHECKPOINT_VERSION, network=net,
-                    rng_state=rng_state_bytes(rng), metrics=metrics)
-    fd, tmp = tempfile.mkstemp()
-    try:
-        os.close(fd)
-        save_checkpoint(cp, tmp)
-        with open(tmp, "rb") as fh:
-            return fh.read()
-    finally:
-        os.unlink(tmp)
+    return save_checkpoint(Checkpoint(format_version=CHECKPOINT_VERSION,
+                                      network=net, rng_state=rng_state_bytes(rng),
+                                      metrics=metrics))
 
 
 def history_csv(history):
@@ -232,12 +221,8 @@ def cmd_spectrum(cfg, layer_ordinal):
     except InvalidInput as e:
         raise ConfigError(str(e)) from e
     _, _, cal_part = _split_parts(cfg, build_task(cfg))
-    _, trace = forward(net, cal_part.x, capture_layer=layer_id)
-    spectrum, vecs = eig_sym(compute_covariance(trace), n_samples=cal_part.n)
-    s2_init = init_sigma2(spectrum, cfg.plan.quantile)
-    sigma2_star, fit = fit_sigma2(spectrum, s2_init)
-    model = MPModel(sigma2=sigma2_star, q=spectrum.q)
-    partition = classify(spectrum, vecs, model)
+    spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_id,
+                                                    cfg.plan.quantile)
     model_json = model.to_json_dict()
     model_json["k"] = partition.k
     staged = {

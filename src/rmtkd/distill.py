@@ -6,7 +6,6 @@ model itself taken just before a compression step.  With no teacher the loss
 reduces to plain cross-entropy (warm-up phase).
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +39,6 @@ class DistillConfig:
             raise InvalidInput("accuracy_threshold must lie in [0, 1]")
         if self.epsilon_prob <= 0:
             raise InvalidInput("epsilon_prob must be positive")
-
-
-@dataclass
-class TeacherSnapshot:
-    network: object  # deep copy, every layer frozen
-    created_at_iteration: int
 
 
 def softmax(logits):
@@ -121,12 +114,12 @@ def combined_loss(logits_new, logits_old, labels, alpha, epsilon_prob=1e-12):
     return loss, grad / b
 
 
-def snapshot_teacher(net, iteration):
-    """Freeze a deep copy of the current network as the distillation teacher."""
-    frozen_net = net.copy()
-    for layer in frozen_net.layers:
+def snapshot_teacher(net):
+    """A deep copy of ``net`` with every layer frozen: the distillation teacher."""
+    teacher = net.copy()
+    for layer in teacher.layers:
         layer.frozen = True
-    return TeacherSnapshot(network=frozen_net, created_at_iteration=iteration)
+    return teacher
 
 
 def accuracy(net, x, y):
@@ -143,7 +136,8 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
     or after cfg.max_epochs, and restores the best-validation weights seen
     (earliest epoch on ties).  Returns ``(net, epochs_used, val_accuracy)``.
 
-    With no teacher, alpha is treated as 1 (pure cross-entropy warm-up).
+    ``teacher`` is a frozen network from :func:`snapshot_teacher`.  With no
+    teacher, alpha is treated as 1 (pure cross-entropy warm-up).
     ``log_rows``, if given, collects per-epoch CSV rows
     ``epoch,train_loss,ce_term,kl_term,val_accuracy``.
     """
@@ -167,13 +161,13 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb, yb = x[:, idx], y[idx]
-            logits, _ = forward(net, xb)
+            logits, acts = forward(net, xb)
             logits_old = None
             if teacher is not None:
-                logits_old, _ = forward(teacher.network, xb)
+                logits_old, _ = forward(teacher, xb)
             loss, grad = combined_loss(logits, logits_old, yb, alpha, cfg.epsilon_prob)
             ce, kl, _, _ = _ce_and_kl(logits, logits_old, yb, cfg.epsilon_prob)
-            grads = backward(net, xb, yb, grad)
+            grads = backward(net, acts, grad)
             _, state = sgd_step(net, grads, cfg.lr, cfg.momentum, state)
             loss_sum += loss
             ce_sum += ce
@@ -187,7 +181,7 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
             )
         if val_acc > best_acc:
             best_acc = val_acc
-            best_layers = [copy.deepcopy(l) for l in net.layers]
+            best_layers = net.copy().layers
         if val_acc >= cfg.accuracy_threshold:
             break
     net.layers = best_layers

@@ -9,12 +9,8 @@ class InvalidInput(RmtkdError):
     """An argument violates a documented precondition."""
 
 
-class InvalidState(RmtkdError):
-    """An operation was called before its prerequisites were established."""
-
-
 class DegenerateSpectrum(RmtkdError):
-    """All eigenvalues identical; the noise-variance fit is undefined."""
+    """The noise-variance fit is undefined: identical or round-off eigenvalues."""
 
 
 class NumericalFailure(RmtkdError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidInput, InvalidState, VersionMismatch
+from .errors import CorruptFile, InvalidInput, VersionMismatch
 
 CHECKPOINT_MAGIC = b"RMTK"
 CHECKPOINT_VERSION = 1
@@ -98,23 +98,18 @@ def init_network(widths, input_dim, num_classes, rng_normal):
     return Network(layers=layers, input_dim=input_dim, num_classes=num_classes)
 
 
-def forward(net, batch, capture_layer=None):
-    """Run the network; optionally capture one layer's post-activation output.
+def forward(net, batch):
+    """Run the network on a dim x b batch.
 
-    Returns ``(logits, trace)`` where trace is the d x b activation of the
-    requested (non-frozen) layer, or None.  Activations for the whole pass
-    are cached on the network for the subsequent backward call.
+    Returns ``(logits, acts)``: ``acts[0]`` is the batch and ``acts[i + 1]``
+    is layer i's post-activation output, so ``acts[-1]`` is the logits.
+    Pass ``acts`` to :func:`backward` to backpropagate through this pass.
     """
     a = np.asarray(batch, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != net.input_dim:
         raise InvalidInput(
             f"batch must be {net.input_dim} x b, got {a.shape}"
         )
-    if capture_layer is not None:
-        if not 0 <= capture_layer < len(net.layers):
-            raise InvalidInput(f"no layer {capture_layer}")
-        if net.layers[capture_layer].frozen:
-            raise InvalidInput("capture layer must be non-frozen")
     acts = [a]
     for layer in net.layers:
         z = layer.weights @ acts[-1]
@@ -123,22 +118,16 @@ def forward(net, batch, capture_layer=None):
         if layer.activation == "relu":
             z = np.maximum(z, 0.0)
         acts.append(z)
-    net._cache = acts
-    trace = None if capture_layer is None else acts[capture_layer + 1].copy()
-    return acts[-1], trace
+    return acts[-1], acts
 
 
-def backward(net, batch, labels, loss_grad_at_logits):
+def backward(net, acts, loss_grad_at_logits):
     """Backpropagate a logit-space gradient to per-layer parameter gradients.
 
-    Requires a preceding :func:`forward` on the same batch (the cached
-    activations are reused).  Returns ``{layer_index: (grad_w, grad_b)}`` for
-    non-frozen layers only.
+    ``acts`` are the activations :func:`forward` returned for the pass whose
+    logits the gradient is taken at.  Returns ``{layer_index: (grad_w,
+    grad_b)}`` for non-frozen layers only.
     """
-    acts = getattr(net, "_cache", None)
-    batch = np.asarray(batch, dtype=np.float64)
-    if acts is None or acts[0].shape != batch.shape or not np.array_equal(acts[0], batch):
-        raise InvalidState("no forward cache for this batch")
     g = np.asarray(loss_grad_at_logits, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise InvalidInput("gradient shape must match logits")
@@ -207,8 +196,8 @@ class Checkpoint:
     metrics: dict
 
 
-def save_checkpoint(cp, path):
-    """Write a checkpoint: magic, version, JSON header, rng state, raw f64."""
+def save_checkpoint(cp):
+    """Checkpoint bytes: magic, version, JSON header, rng state, raw f64."""
     header = {
         "input_dim": cp.network.input_dim,
         "num_classes": cp.network.num_classes,
@@ -226,17 +215,14 @@ def save_checkpoint(cp, path):
         "metrics": {k: cp.metrics[k] for k in sorted(cp.metrics)},
     }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", cp.format_version))
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        fh.write(struct.pack("<I", len(cp.rng_state)))
-        fh.write(cp.rng_state)
-        for layer in cp.network.layers:
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            if layer.bias is not None:
-                fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", cp.format_version),
+             struct.pack("<I", len(raw)), raw,
+             struct.pack("<I", len(cp.rng_state)), cp.rng_state]
+    for layer in cp.network.layers:
+        parts.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
+        if layer.bias is not None:
+            parts.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    return b"".join(parts)
 
 
 def load_checkpoint(path):

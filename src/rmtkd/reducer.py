@@ -17,8 +17,8 @@ from .distill import accuracy, snapshot_teacher, train_until
 from .errors import AlreadyProjected, DegenerateSpectrum, InvalidInput, NoSpikes
 from .network import DenseLayer, forward, param_count
 from .rng import derive_seed, make_rng
-from .spectral import (MPModel, classify, compute_covariance, eig_sym,
-                       fit_sigma2, init_sigma2)
+from .spectral import (SYM_TOL, MPModel, classify, compute_covariance,
+                       eig_sym, fit_sigma2, init_sigma2)
 
 ORTHO_TOL = 1e-8
 
@@ -128,6 +128,42 @@ def _hidden_layer_index(net, ordinal):
     return hidden[ordinal]
 
 
+def analyse_layer(net, cal_x, layer_id, quantile):
+    """Fit the noise bulk of one layer's calibration spectrum.
+
+    ``layer_id`` indexes ``net.layers`` and must name a non-frozen hidden
+    layer; ``cal_x`` is the dim x n calibration batch.  Captures the layer's
+    activations, eigendecomposes their covariance, fits sigma2 from the
+    ``quantile`` init and splits the spectrum at the fitted bulk edge.
+    Returns ``(spectrum, model, partition, fit)``.
+
+    Raises DegenerateSpectrum, naming the layer, when the spectrum cannot
+    be fitted: the quantile init is round-off (too many zero eigenvalues,
+    typically d > n) or the fit itself is undefined.
+    """
+    if not 0 <= layer_id < len(net.layers) - 1 or net.layers[layer_id].frozen:
+        raise InvalidInput(f"layer {layer_id} is not a reducible hidden layer")
+    _, acts = forward(net, cal_x)
+    x = acts[layer_id + 1]
+    spectrum, vecs = eig_sym(compute_covariance(x), n_samples=x.shape[1])
+    s2_init = init_sigma2(spectrum, quantile)
+    floor = SYM_TOL * spectrum.clamped[0]
+    if s2_init <= floor:
+        zeros = int(np.sum(spectrum.clamped <= floor))
+        raise DegenerateSpectrum(
+            f"layer {layer_id}: the sigma2 init at quantile {quantile} is round-off "
+            f"({s2_init:.3g}); {zeros} of d={spectrum.d} eigenvalues are zero "
+            f"with n={spectrum.n} calibration samples; raise plan.quantile or "
+            f"split.calibration_fraction"
+        )
+    try:
+        sigma2, fit = fit_sigma2(spectrum, s2_init)
+    except DegenerateSpectrum as e:
+        raise DegenerateSpectrum(f"layer {layer_id}: {e}") from e
+    model = MPModel(sigma2=sigma2, q=spectrum.q)
+    return spectrum, model, classify(spectrum, vecs, model), fit
+
+
 def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
     """One train -> analyse -> project -> fine-tune cycle at ``layer_id``.
 
@@ -135,24 +171,14 @@ def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
     the current network's layers and must name a non-frozen hidden layer.
     Returns ``(new_net, IterationRecord)``; the input network is never
     mutated.  A spectrum with no spikes is a skip: the input network is
-    returned unchanged with k = d recorded.
+    returned unchanged with k = d recorded.  DegenerateSpectrum from
+    :func:`analyse_layer` propagates.
     """
     train_part, val_part, cal_part = data
-    if not 0 <= layer_id < len(net.layers) - 1 or net.layers[layer_id].frozen:
-        raise InvalidInput(f"layer {layer_id} is not a reducible hidden layer")
+    spectrum, model, partition, _ = analyse_layer(net, cal_part.x, layer_id,
+                                                  plan.quantile)
     params_before, _ = param_count(net)
     acc_before = accuracy(net, val_part.x, val_part.y)
-
-    _, trace = forward(net, cal_part.x, capture_layer=layer_id)
-    cov = compute_covariance(trace)
-    spectrum, vecs = eig_sym(cov, n_samples=cal_part.n)
-    s2_init = init_sigma2(spectrum, plan.quantile)
-    try:
-        sigma2_star, _ = fit_sigma2(spectrum, s2_init)
-    except DegenerateSpectrum:
-        sigma2_star = s2_init
-    model = MPModel(sigma2=sigma2_star, q=spectrum.q)
-    partition = classify(spectrum, vecs, model)
 
     d = spectrum.d
     try:
@@ -160,13 +186,13 @@ def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
     except NoSpikes:
         record = IterationRecord(
             iteration=iteration, layer_id=layer_id, d=d, k=d,
-            sigma2=sigma2_star, lambda_plus=model.lambda_plus,
+            sigma2=model.sigma2, lambda_plus=model.lambda_plus,
             acc_before=acc_before, acc_after_finetune=acc_before,
             params_before=params_before, params_after=params_before,
         )
         return net, record
 
-    teacher = snapshot_teacher(net, iteration)
+    teacher = snapshot_teacher(net)
     new_net = apply_projection(net, proj)
     new_net, _, acc_after = train_until(
         new_net, (train_part, val_part), cfg, teacher=teacher, rng=rng
@@ -174,7 +200,7 @@ def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
     params_after, _ = param_count(new_net)
     record = IterationRecord(
         iteration=iteration, layer_id=layer_id, d=d, k=proj.matrix.shape[0],
-        sigma2=sigma2_star, lambda_plus=model.lambda_plus,
+        sigma2=model.sigma2, lambda_plus=model.lambda_plus,
         acc_before=acc_before, acc_after_finetune=acc_after,
         params_before=params_before, params_after=params_after,
     )

@@ -88,23 +88,3 @@ def rng_state_bytes(rng):
         "uinteger": int(st["uinteger"]),
     }
     return json.dumps(canon, sort_keys=True).encode("ascii")
-
-
-def rng_from_state_bytes(raw):
-    """Rebuild a generator from bytes produced by :func:`rng_state_bytes`."""
-    import json
-
-    canon = json.loads(raw.decode("ascii"))
-    bg = np.random.Philox()
-    bg.state = {
-        "bit_generator": canon["bit_generator"],
-        "state": {
-            "counter": np.array(canon["state"]["counter"], dtype=np.uint64),
-            "key": np.array(canon["state"]["key"], dtype=np.uint64),
-        },
-        "buffer": np.array(canon["buffer"], dtype=np.uint64),
-        "buffer_pos": canon["buffer_pos"],
-        "has_uint32": canon["has_uint32"],
-        "uinteger": canon["uinteger"],
-    }
-    return np.random.Generator(bg)

@@ -137,9 +137,9 @@ def test_criterion_4_gradient_correctness():
             logits, _ = forward(net, x)
             return combined_loss(logits, t_logits, labels, alpha=0.4)[0]
 
-        logits, _ = forward(net, x)
+        logits, acts = forward(net, x)
         _, g_logits = combined_loss(logits, t_logits, labels, alpha=0.4)
-        grads = backward(net, x, labels, g_logits)
+        grads = backward(net, acts, g_logits)
         eps = 1e-6
         for i, (gw, gb) in grads.items():
             coords = [(0, 0), (gw.shape[0] // 2, gw.shape[1] // 2),

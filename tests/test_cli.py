@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -231,6 +232,33 @@ def test_spectrum_bad_layer_ordinal(tmp_path):
     cfgp = _write_config(tmp_path, _base_config(out))
     assert main(["train", "--config", cfgp]) == 0
     assert main(["spectrum", "--config", cfgp, "--layer", "5"]) == 2
+
+
+def test_round_off_quantile_init_fails_with_context(tmp_path, capsys):
+    # 64 units over 48 calibration columns: at least 16 eigenvalues are zero,
+    # so the 0.1-quantile init of sigma2 is round-off and the fit is undefined
+    out = tmp_path / "run"
+    raw = _base_config(out)
+    raw["widths"] = [64]
+    raw["plan"]["quantile"] = 0.1
+    raw["split"]["calibration_fraction"] = 0.1
+    cfgp = _write_config(tmp_path, raw)
+    assert main(["train", "--config", cfgp]) == 0
+    trained = sorted(os.listdir(out))
+    capsys.readouterr()
+
+    compress_out = tmp_path / "compressed"
+    for argv in (["spectrum", "--config", cfgp, "--layer", "0"],
+                 ["compress", "--config", cfgp, "--out", str(compress_out)]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 0: ") and "Traceback" not in err
+        assert "quantile 0.1" in err and "d=64" in err and "n=48" in err
+        zeros = re.search(r"(\d+) of d=64 eigenvalues are zero", err)
+        assert zeros and int(zeros.group(1)) >= 64 - 48
+        assert "plan.quantile" in err and "split.calibration_fraction" in err
+    assert sorted(os.listdir(out)) == trained
+    assert not compress_out.exists()
 
 
 # ----------------------------------------------------------- compress output

@@ -165,12 +165,11 @@ def test_combined_loss_validates_shapes():
 
 def test_snapshot_teacher_is_frozen_deep_copy():
     net = init_network([4], 3, 2, lambda s: normal(make_rng(2), s))
-    teacher = snapshot_teacher(net, iteration=3)
-    assert teacher.created_at_iteration == 3
-    assert all(l.frozen for l in teacher.network.layers)
+    teacher = snapshot_teacher(net)
+    assert all(l.frozen for l in teacher.layers)
     assert not any(l.frozen for l in net.layers)
     net.layers[0].weights[0, 0] += 10.0
-    assert teacher.network.layers[0].weights[0, 0] != net.layers[0].weights[0, 0]
+    assert teacher.layers[0].weights[0, 0] != net.layers[0].weights[0, 0]
 
 
 def test_accuracy_hand():
@@ -261,7 +260,7 @@ def test_train_until_distillation_tracks_teacher():
     cfg = DistillConfig(max_epochs=30, accuracy_threshold=0.98, batch_size=32)
     teacher_net, _, teacher_acc = train_until(teacher_net, (ds, val), cfg,
                                               rng=make_rng(31))
-    teacher = snapshot_teacher(teacher_net, iteration=0)
+    teacher = snapshot_teacher(teacher_net)
     student = init_network([8], 2, 2, lambda s: normal(make_rng(32), s))
     cfg0 = DistillConfig(alpha=0.0, max_epochs=30, accuracy_threshold=0.95,
                          batch_size=32)

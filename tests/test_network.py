@@ -1,11 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
-from rmtkd.errors import (CorruptFile, InvalidInput, InvalidState,
-                          VersionMismatch)
+from rmtkd.errors import CorruptFile, InvalidInput, VersionMismatch
 from rmtkd.network import (Checkpoint, DenseLayer, Network, backward, forward,
                            init_network, load_checkpoint, param_count,
                            save_checkpoint, sgd_step)
+from rmtkd.reducer import analyse_layer
 from rmtkd.rng import make_rng, normal, rng_state_bytes
 
 
@@ -73,23 +75,23 @@ def test_forward_hand_computed():
     net = _tiny_net()
     x = np.array([[1.0], [2.0], [0.0]])
     # z1 = [1-2+0.5, 4-3] = [-0.5, 1] -> relu -> [0, 1]; logits = [1]
-    logits, trace = forward(net, x)
+    logits, acts = forward(net, x)
     assert np.allclose(logits, [[1.0]])
-    assert trace is None
+    assert len(acts) == 3 and np.array_equal(acts[0], x) and acts[-1] is logits
 
 
 def test_forward_capture_layer():
     net = _tiny_net()
     x = np.array([[1.0], [2.0], [0.0]])
-    _, trace = forward(net, x, capture_layer=0)
-    assert np.allclose(trace, [[0.0], [1.0]])
+    _, acts = forward(net, x)
+    assert np.allclose(acts[1], [[0.0], [1.0]])
 
 
 def test_forward_capture_frozen_rejected():
     net = _tiny_net()
     net.layers[0].frozen = True
     with pytest.raises(InvalidInput):
-        forward(net, np.zeros((3, 1)), capture_layer=0)
+        analyse_layer(net, np.zeros((3, 1)), 0, 0.5)
 
 
 def test_forward_batch_shape_validated():
@@ -100,11 +102,27 @@ def test_forward_batch_shape_validated():
 
 # ----------------------------------------------------------------- backward
 
-def test_backward_requires_matching_forward():
-    net = _tiny_net()
-    forward(net, np.zeros((3, 2)))
-    with pytest.raises(InvalidState):
-        backward(net, np.ones((3, 2)), None, np.zeros((1, 2)))
+def test_forward_backward_leave_no_state():
+    net = init_network([6, 5], 4, 3, _rnd_normal(10))
+    net.layers[1].frozen = True
+    x = normal(make_rng(11), (4, 7))
+
+    def state():
+        return [{k: v.copy() if isinstance(v, np.ndarray) else copy.copy(v)
+                 for k, v in vars(obj).items()} for obj in [net] + net.layers]
+
+    before = state()
+    logits, acts = forward(net, x)
+    backward(net, acts, logits)
+    after = state()
+    assert len(before) == len(after)
+    for b, a in zip(before, after):
+        assert b.keys() == a.keys()
+        for key, value in b.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, a[key]), key
+            else:
+                assert value == a[key], key
 
 
 def test_backward_finite_difference():
@@ -112,8 +130,8 @@ def test_backward_finite_difference():
     net = init_network([8, 6], 5, 3, _rnd_normal(2))
     rng = make_rng(3)
     x = normal(rng, (5, 7))
-    logits, _ = forward(net, x)
-    grads = backward(net, x, None, logits)
+    logits, acts = forward(net, x)
+    grads = backward(net, acts, logits)
     eps = 1e-6
     worst = 0.0
     for i, (gw, gb) in grads.items():
@@ -135,7 +153,6 @@ def test_backward_finite_difference():
             net.layers[i].bias[0] = b0
             fd = (lp - lm) / (2 * eps)
             worst = max(worst, abs(fd - gb[0]) / max(abs(fd), 1e-12))
-    forward(net, x)  # restore the cache the loop invalidated
     assert worst < 1e-6
 
 
@@ -143,16 +160,16 @@ def test_backward_skips_frozen_layers():
     net = init_network([6], 4, 2, _rnd_normal(4))
     net.layers[0].frozen = True
     x = normal(make_rng(5), (4, 3))
-    logits, _ = forward(net, x)
-    grads = backward(net, x, None, logits)
+    logits, acts = forward(net, x)
+    grads = backward(net, acts, logits)
     assert set(grads) == {1}
 
 
 def test_backward_hand_relu_mask():
     net = _tiny_net()
     x = np.array([[1.0], [2.0], [0.0]])  # hidden pre-act [-0.5, 1]: unit 0 dead
-    logits, _ = forward(net, x)
-    grads = backward(net, x, None, np.array([[1.0]]))
+    _, acts = forward(net, x)
+    grads = backward(net, acts, np.array([[1.0]]))
     gw0, gb0 = grads[0]
     # dead relu unit blocks the gradient entirely
     assert np.allclose(gw0[0], 0.0) and gb0[0] == 0.0
@@ -216,9 +233,9 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
                     metrics={"val_accuracy": 0.87, "epochs": 4})
     p1 = tmp_path / "a.rmtk"
     p2 = tmp_path / "b.rmtk"
-    save_checkpoint(cp, p1)
+    p1.write_bytes(save_checkpoint(cp))
     back = load_checkpoint(p1)
-    save_checkpoint(back, p2)
+    p2.write_bytes(save_checkpoint(back))
     assert p1.read_bytes() == p2.read_bytes()
     assert back.metrics == cp.metrics
     assert back.network.history == [(0, 5, 3)]
@@ -241,7 +258,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(7))
     cp = Checkpoint(format_version=1, network=net, rng_state=b"", metrics={})
     p = tmp_path / "v.rmtk"
-    save_checkpoint(cp, p)
+    p.write_bytes(save_checkpoint(cp))
     blob = bytearray(p.read_bytes())
     blob[4] = 2  # bump the little-endian version field
     p.write_bytes(bytes(blob))
@@ -253,7 +270,7 @@ def test_checkpoint_truncation(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(8))
     cp = Checkpoint(format_version=1, network=net, rng_state=b"xyz", metrics={})
     p = tmp_path / "t.rmtk"
-    save_checkpoint(cp, p)
+    p.write_bytes(save_checkpoint(cp))
     p.write_bytes(p.read_bytes()[:-9])
     with pytest.raises(CorruptFile):
         load_checkpoint(p)

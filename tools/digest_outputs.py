@@ -1,0 +1,83 @@
+"""Hash every output file of the four rmtkd subcommands on the README toy config.
+
+    python3 tools/digest_outputs.py --seeds 0 1
+
+Run from a source checkout; ``rmtkd`` is imported from the ``src/`` next to
+this script.  For each seed it runs ``train``, ``spectrum --layer 0`` (on a
+copy of that seed's trained checkpoint), ``compress`` and ``ablate
+--quantiles 0.3,0.7`` into a temporary directory, then prints one line
+``<sha256> <command>/<seed>/<file>`` per output file, sorted by path.
+
+Two checkouts that print the same listing write the same bytes, so
+``diff`` of two listings proves a refactor changed no output.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+TOY_CONFIG = {
+    "task": {"kind": "planted", "input_dim": 32, "intrinsic_dim": 8,
+             "num_classes": 10, "n_samples": 5000, "noise_sigma": 0.3},
+    "widths": [64, 64],
+    "distill": {"max_epochs": 40, "accuracy_threshold": 0.95},
+    "plan": {"quantile": 0.7, "layer_order": [0, 1]},
+}
+COMMANDS = [
+    ("train", ["train"]),
+    ("spectrum", ["spectrum", "--layer", "0"]),
+    ("compress", ["compress"]),
+    ("ablate", ["ablate", "--quantiles", "0.3,0.7"]),
+]
+
+
+def digests(work, seeds, main):
+    """Run every command for every seed under ``work``; return sorted lines."""
+    config_path = os.path.join(work, "config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(TOY_CONFIG, fh, sort_keys=True)
+    lines = []
+    for seed in seeds:
+        for name, argv in COMMANDS:
+            out = os.path.join(work, name, str(seed))
+            os.makedirs(out)
+            if name == "spectrum":
+                shutil.copy(os.path.join(work, "train", str(seed), "checkpoint.rmtk"), out)
+            rc = main(argv + ["--config", config_path, "--out", out,
+                              "--seed", str(seed)])
+            if rc != 0:
+                raise RuntimeError(f"{name} with seed {seed} exited {rc}")
+            for fname in os.listdir(out):
+                with open(os.path.join(out, fname), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                lines.append(f"{digest} {name}/{seed}/{fname}")
+    return sorted(lines, key=lambda line: line.split(" ", 1)[1])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from rmtkd.cli import main as rmtkd_main
+
+    work = tempfile.mkdtemp(prefix="rmtkd-digest-")
+    try:
+        for line in digests(work, args.seeds, rmtkd_main):
+            print(line)
+    except RuntimeError as e:
+        print(f"digest failed: {e}", file=sys.stderr)
+        return 1
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
