@@ -19,6 +19,7 @@ reruns are bit-identical.  Exit codes: 0 success, 1 runtime failure,
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -41,6 +42,8 @@ _TASK_KEYS = {
                 "n_samples", "noise_sigma", "margin"},
     "csv": {"kind", "path", "label_column"},
 }
+_PLANTED_DEFAULTS = {"input_dim": 32, "intrinsic_dim": 8, "num_classes": 10,
+                     "n_samples": 5000, "noise_sigma": 0.3, "margin": 0.3}
 _DISTILL_KEYS = {"alpha", "lr", "momentum", "batch_size", "max_epochs",
                  "accuracy_threshold", "epsilon_prob"}
 _PLAN_KEYS = {"layer_order", "quantile", "min_k", "accuracy_floor",
@@ -66,6 +69,28 @@ def _check_keys(section, given, allowed):
         raise ConfigError(f"unknown key {unknown[0]!r} in {section}")
 
 
+def _planted_params(task):
+    """The planted task's generator arguments, defaults filled in."""
+    return {**_PLANTED_DEFAULTS, **{k: v for k, v in task.items() if k != "kind"}}
+
+
+def _check_planted(task):
+    params = _planted_params(task)
+    for key in ("input_dim", "intrinsic_dim", "num_classes", "n_samples"):
+        value = params[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"task.{key} must be a positive integer, got {value!r}")
+    for key in ("noise_sigma", "margin"):
+        value = params[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or value < 0):
+            raise ConfigError(f"task.{key} must be a finite number >= 0, got {value!r}")
+    if params["intrinsic_dim"] > params["input_dim"]:
+        raise ConfigError("task.intrinsic_dim must be <= task.input_dim")
+    if params["num_classes"] < 2:
+        raise ConfigError("task.num_classes must be >= 2")
+
+
 def validate_config(raw, out_override=None, seed_override=None):
     """Validate a config dict into a RunConfig; every constraint up front."""
     if not isinstance(raw, dict):
@@ -83,6 +108,8 @@ def validate_config(raw, out_override=None, seed_override=None):
     _check_keys("task", task, _TASK_KEYS[task["kind"]])
     if task["kind"] == "csv" and "path" not in task:
         raise ConfigError("csv task needs a 'path'")
+    if task["kind"] == "planted":
+        _check_planted(task)
 
     widths = raw["widths"]
     if (not isinstance(widths, list) or not widths
@@ -103,10 +130,15 @@ def validate_config(raw, out_override=None, seed_override=None):
     except InvalidInput as e:
         raise ConfigError(str(e)) from e
 
+    if not isinstance(plan.layer_order, list):
+        raise ConfigError("layer_order must be a list of hidden-layer ordinals")
     bad = [o for o in plan.layer_order
            if not isinstance(o, int) or not 0 <= o < len(widths)]
     if bad:
         raise ConfigError(f"layer_order entry {bad[0]!r} does not name a hidden layer")
+    repeated = [o for i, o in enumerate(plan.layer_order) if o in plan.layer_order[:i]]
+    if repeated:
+        raise ConfigError(f"layer_order names hidden layer {repeated[0]} more than once")
 
     seed = raw.get("seed", 0)
     if seed_override is not None:
@@ -125,15 +157,8 @@ def build_task(cfg):
     """Materialize the configured dataset, deterministically from the seed."""
     task = cfg.task
     if task["kind"] == "planted":
-        ds, _ = planted_subspace_task(
-            input_dim=task.get("input_dim", 32),
-            intrinsic_dim=task.get("intrinsic_dim", 8),
-            num_classes=task.get("num_classes", 10),
-            n_samples=task.get("n_samples", 5000),
-            noise_sigma=task.get("noise_sigma", 0.3),
-            seed=derive_seed(cfg.seed, "task"),
-            margin=task.get("margin", 0.3),
-        )
+        ds, _ = planted_subspace_task(**_planted_params(task),
+                                      seed=derive_seed(cfg.seed, "task"))
         return ds
     return load_csv(task["path"], label_column=task.get("label_column", "label"))
 

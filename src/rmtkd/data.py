@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationFailure, InvalidInput, ParseError, SchemaError
-from .rng import make_rng, normal
+from .rng import BLOCK, make_rng, normal, normal_draws
 from .spectral import ActivationMatrix
+
+GAP_TOL = 1e-9  # relative to |z|; far above the rounding of a score difference
 
 
 @dataclass
@@ -129,6 +131,8 @@ def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,
     orthonormal columns.  Raises GenerationFailure if the quotas cannot be
     filled within 10 * n_samples draws.
     """
+    if min(intrinsic_dim, n_samples) < 1:
+        raise InvalidInput("intrinsic_dim and n_samples must be >= 1")
     if intrinsic_dim > input_dim:
         raise InvalidInput("intrinsic_dim must be <= input_dim")
     if num_classes < 2:
@@ -143,31 +147,52 @@ def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,
     scorer = normal(rng, (num_classes, r))
     scorer = scorer / np.linalg.norm(scorer, axis=1, keepdims=True)
 
-    quota = [n_samples // num_classes + (1 if i < n_samples % num_classes else 0)
-             for i in range(num_classes)]
-    counts = [0] * num_classes
+    quota = np.array([n_samples // num_classes + (1 if i < n_samples % num_classes else 0)
+                      for i in range(num_classes)])
+    counts = np.zeros(num_classes, dtype=np.int64)
     latents = np.zeros((r, n_samples))
     labels = np.zeros(n_samples, dtype=np.int64)
     got = 0
     draws = 0
+    limit = 10 * n_samples
+    # Each block replays the per-draw loop "draw z; reject if the top-two gap
+    # is below margin; else keep it if its class quota has room; stop once
+    # every quota is full" over the same stream of normal(rng, r) calls.
     while got < n_samples:
-        draws += 1
-        if draws > 10 * n_samples:
-            raise GenerationFailure(
-                f"class balance infeasible within {10 * n_samples} draws"
-            )
-        z = normal(rng, r)
-        scores = scorer @ z
-        top2 = np.partition(scores, -2)[-2:]
-        if top2[1] - top2[0] < margin:
-            continue
-        c = int(np.argmax(scores))
-        if counts[c] >= quota[c]:
-            continue
-        latents[:, got] = z
-        labels[got] = c
-        counts[c] += 1
-        got += 1
+        if draws == limit:
+            raise GenerationFailure(f"class balance infeasible within {limit} draws")
+        size = min(BLOCK, limit - draws)
+        state = rng.bit_generator.state
+        z = normal_draws(rng, r, size)
+        scores = z @ scorer.T
+        top2 = np.partition(scores, -2, axis=1)[:, -2:]
+        gap = top2[:, 1] - top2[:, 0]
+        passed = ~(gap < margin)
+        cls = np.argmax(scores, axis=1)
+        # The block product may round differently from a single draw's
+        # scorer @ z; rows that close to the margin are decided per draw.
+        near = np.abs(gap - margin) <= GAP_TOL * (1.0 + np.linalg.norm(z, axis=1))
+        for i in np.flatnonzero(near):
+            one = scorer @ z[i].copy()
+            pair = np.partition(one, -2)[-2:]
+            passed[i] = not (pair[1] - pair[0] < margin)
+            cls[i] = np.argmax(one)
+        # A passing draw of class c is kept iff fewer than quota[c] draws of
+        # c were kept before it: its rank among this block's passing draws
+        # of c, added to counts[c], must not exceed quota[c].
+        hits = (cls[:, None] == np.arange(num_classes)) & passed[:, None]
+        rank = np.cumsum(hits, axis=0)[np.arange(size), cls]
+        kept = np.flatnonzero(passed & (counts[cls] + rank <= quota[cls]))
+        used = size
+        if got + len(kept) == n_samples:
+            used = int(kept[-1]) + 1
+            rng.bit_generator.state = state
+            normal_draws(rng, r, used)
+        latents[:, got:got + len(kept)] = z[kept].T
+        labels[got:got + len(kept)] = cls[kept]
+        counts += np.bincount(cls[kept], minlength=num_classes)
+        got += len(kept)
+        draws += used
 
     ambient = normal(rng, (input_dim - r, n_samples), std=noise_sigma) if input_dim > r \
         else np.zeros((0, n_samples))
@@ -254,9 +279,12 @@ def load_csv(path, label_column="label", feature_columns=None):
         feats = []
         for c, pos in zip(feature_columns, feat_pos):
             try:
-                feats.append(float(cells[pos]))
+                value = float(cells[pos])
             except ValueError:
                 raise ParseError(f"{path}: row {rnum}, column {c!r}: not a number") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: row {rnum}, column {c!r}: {cells[pos]!r} is not finite")
+            feats.append(value)
         rows.append(feats)
         raw_labels.append(cells[label_pos])
     if not rows:

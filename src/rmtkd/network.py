@@ -247,9 +247,20 @@ def load_checkpoint(path):
         if len(rng_state) < rlen:
             raise CorruptFile(f"{path}: truncated rng state")
         off += rlen
+        if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
+            raise CorruptFile(f"{path}: header has no list of layers")
+        history = header["history"]
+        if not (isinstance(history, list) and all(
+                isinstance(h, list) and len(h) == 3 and all(type(v) is int for v in h)
+                for h in history)):
+            raise CorruptFile(f"{path}: history must be a list of [layer_id, d, k]")
         layers = []
         for spec in header["layers"]:
+            if not isinstance(spec, dict):
+                raise CorruptFile(f"{path}: layer spec {spec!r} is not an object")
             out, inp = spec["out"], spec["in"]
+            if not all(type(dim) is int and dim >= 1 for dim in (out, inp)):
+                raise CorruptFile(f"{path}: layer dims {out!r} x {inp!r} are not positive integers")
             nbytes = out * inp * 8
             w = np.frombuffer(blob[off:off + nbytes], dtype="<f8")
             if w.size != out * inp:
@@ -265,13 +276,13 @@ def load_checkpoint(path):
                 bias = b.copy()
             layers.append(DenseLayer(weights=w, bias=bias,
                                      activation=spec["activation"], frozen=spec["frozen"]))
-    except (KeyError, ValueError, struct.error) as e:
+        if off != len(blob):
+            raise CorruptFile(f"{path}: {len(blob) - off} trailing bytes after the weights")
+        net = Network(layers=layers, input_dim=header["input_dim"],
+                      num_classes=header["num_classes"],
+                      history=[tuple(h) for h in history])
+        metrics = dict(header["metrics"])
+    except (KeyError, TypeError, ValueError, struct.error, InvalidInput) as e:
         raise CorruptFile(f"{path}: {e}") from e
-    net = Network(
-        layers=layers,
-        input_dim=header["input_dim"],
-        num_classes=header["num_classes"],
-        history=[tuple(h) for h in header["history"]],
-    )
     return Checkpoint(format_version=version, network=net,
-                      rng_state=rng_state, metrics=dict(header["metrics"]))
+                      rng_state=rng_state, metrics=metrics)

@@ -108,6 +108,55 @@ def test_validate_config_required_and_ranges():
     with pytest.raises(ConfigError):
         validate_config(raw)
 
+    raw = _base_config("o")
+    raw["plan"]["layer_order"] = [0, 0]
+    with pytest.raises(ConfigError) as ei:
+        validate_config(raw)
+    assert "more than once" in str(ei.value)
+
+    raw = _base_config("o")
+    raw["plan"]["layer_order"] = 0
+    with pytest.raises(ConfigError):
+        validate_config(raw)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input_dim", "32"), ("input_dim", True), ("input_dim", 0),
+    ("intrinsic_dim", 8.0), ("num_classes", None), ("n_samples", -5),
+    ("noise_sigma", "x"), ("noise_sigma", -0.1), ("noise_sigma", float("nan")),
+    ("margin", float("inf")), ("margin", False),
+])
+def test_validate_config_planted_task_values(key, value):
+    raw = _base_config("o")
+    raw["task"][key] = value
+    with pytest.raises(ConfigError) as ei:
+        validate_config(raw)
+    assert f"task.{key}" in str(ei.value)
+
+
+def test_validate_config_planted_task_relations():
+    raw = _base_config("o")
+    raw["task"].update(input_dim=4, intrinsic_dim=8)
+    with pytest.raises(ConfigError) as ei:
+        validate_config(raw)
+    assert "intrinsic_dim" in str(ei.value)
+
+    raw = _base_config("o")
+    del raw["task"]["intrinsic_dim"]  # the default, 8, exceeds input_dim 4
+    raw["task"]["input_dim"] = 4
+    with pytest.raises(ConfigError):
+        validate_config(raw)
+
+    raw = _base_config("o")
+    raw["task"]["num_classes"] = 1
+    with pytest.raises(ConfigError) as ei:
+        validate_config(raw)
+    assert "num_classes" in str(ei.value)
+
+    raw = _base_config("o")
+    raw["task"].update(input_dim=4, intrinsic_dim=4, margin=0, noise_sigma=0)
+    validate_config(raw)
+
 
 def test_validate_config_overrides():
     raw = _base_config("orig")
@@ -138,6 +187,18 @@ def test_exit_2_on_config_problems(tmp_path):
     raw = _base_config(tmp_path / "o")
     raw["plan"]["quantile"] = 7.0
     assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2
+
+    for edit in ({"intrinsic_dim": 32}, {"num_classes": 1}, {"input_dim": "32"},
+                 {"noise_sigma": "x"}, {"n_samples": -5}):
+        raw = _base_config(tmp_path / "o")
+        raw["task"].update(edit)
+        assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2, edit
+
+    raw = _base_config(tmp_path / "o")
+    raw["widths"] = [32, 32]
+    raw["plan"]["layer_order"] = [0, 0]
+    assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2
+    assert not (tmp_path / "o").exists()  # refused before any work
 
     assert main(["bogus", "--config", "x"]) == 2  # argparse rejection
 

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmtkd import rng as rng_module
 from rmtkd.data import (Dataset, SplitSpec, load_csv, planted_subspace_task,
                         sample_noise_matrix, sample_spiked, save_csv, split)
 from rmtkd.errors import (GenerationFailure, InvalidInput, ParseError,
                           SchemaError)
+from rmtkd.rng import make_rng, normal, normal_draws, rng_state_bytes
 
 
 # ------------------------------------------------------------------- dataset
@@ -120,6 +124,134 @@ def test_planted_task_validates_dims():
         planted_subspace_task(4, 8, 3, 50, 0.1, seed=14)
     with pytest.raises(InvalidInput):
         planted_subspace_task(8, 4, 1, 50, 0.1, seed=15)
+    with pytest.raises(InvalidInput):
+        planted_subspace_task(8, 0, 3, 50, 0.1, seed=16)
+    with pytest.raises(InvalidInput):
+        planted_subspace_task(8, 4, 3, 0, 0.1, seed=17)
+
+
+# ---------------------------------------------- block generation = per draw
+
+def _planted_per_draw(input_dim, intrinsic_dim, num_classes, n_samples,
+                      noise_sigma, seed, margin=0.3):
+    """The per-draw rejection loop the block generator replays (reference)."""
+    rng = make_rng(seed)
+    r = intrinsic_dim
+    basis_full, _ = np.linalg.qr(normal(rng, (input_dim, input_dim)))
+    basis = basis_full[:, :r]
+    complement = basis_full[:, r:]
+    scorer = normal(rng, (num_classes, r))
+    scorer = scorer / np.linalg.norm(scorer, axis=1, keepdims=True)
+
+    quota = [n_samples // num_classes + (1 if i < n_samples % num_classes else 0)
+             for i in range(num_classes)]
+    counts = [0] * num_classes
+    latents = np.zeros((r, n_samples))
+    labels = np.zeros(n_samples, dtype=np.int64)
+    got = 0
+    draws = 0
+    while got < n_samples:
+        draws += 1
+        if draws > 10 * n_samples:
+            raise GenerationFailure(
+                f"class balance infeasible within {10 * n_samples} draws"
+            )
+        z = normal(rng, r)
+        scores = scorer @ z
+        top2 = np.partition(scores, -2)[-2:]
+        if top2[1] - top2[0] < margin:
+            continue
+        c = int(np.argmax(scores))
+        if counts[c] >= quota[c]:
+            continue
+        latents[:, got] = z
+        labels[got] = c
+        counts[c] += 1
+        got += 1
+
+    ambient = normal(rng, (input_dim - r, n_samples), std=noise_sigma) if input_dim > r \
+        else np.zeros((0, n_samples))
+    x = basis @ latents + complement @ ambient
+    perm = rng.permutation(n_samples)
+    return x[:, perm], labels[perm], basis, scorer
+
+
+def _assert_same_task(args, margin, monkeypatch=None):
+    """Block and per-draw generators give byte-equal x, y, basis and scorer.
+
+    Returns how many draws the block generator handed back to normal()."""
+    short = []
+    if monkeypatch is not None:
+        def counting(rng, size=None, **kw):
+            short.append(size)
+            return normal(rng, size, **kw)
+        monkeypatch.setattr(rng_module, "normal", counting)
+    ds, basis = planted_subspace_task(*args, margin=margin)
+    want = _planted_per_draw(*args, margin=margin)
+    for got, ref in zip((ds.x, ds.y, basis, ds.extra["scorer"]), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    return len(short)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("margin", [0.0, 0.3])
+def test_planted_task_matches_per_draw_loop(r, margin):
+    # With few latent dims and many classes some class's margin region is too
+    # small to fill its quota, so the class count grows with r.
+    _assert_same_task((r + 5, r, min(r + 1, 4), 400, 0.2, 0), margin)
+
+
+def test_planted_task_matches_per_draw_loop_full_rank():
+    _assert_same_task((6, 6, 3, 300, 0.1, 21), 0.3)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_planted_task_matches_per_draw_loop_with_short_draws(seed, monkeypatch):
+    # At r = 8 about 0.5% of draws need a second round of pairs.
+    assert _assert_same_task((32, 8, 10, 3000, 0.3, seed), 0.3, monkeypatch) > 0
+
+
+def test_planted_task_margin_equal_to_a_drawn_gap():
+    # A margin exactly at some draw's gap (as scorer @ z computes it) is the
+    # case where a block product's rounding could flip accept/reject.
+    args = (12, 8, 5, 200, 0.2, 22)
+    rng = make_rng(22)
+    normal(rng, (12, 12))
+    scorer = normal(rng, (5, 8))
+    scorer = scorer / np.linalg.norm(scorer, axis=1, keepdims=True)
+    gaps = []
+    for _ in range(40):
+        top2 = np.partition(scorer @ normal(rng, 8), -2)[-2:]
+        gaps.append(top2[1] - top2[0])
+    for margin in sorted(gaps)[::8]:
+        try:
+            _assert_same_task(args, margin)
+        except GenerationFailure:
+            with pytest.raises(GenerationFailure):
+                _planted_per_draw(*args, margin=margin)
+
+
+def test_planted_task_infeasible_margin_same_failure():
+    args = (16, 4, 3, 100, 0.1, 13)
+    with pytest.raises(GenerationFailure) as block:
+        planted_subspace_task(*args, margin=50.0)
+    with pytest.raises(GenerationFailure) as per_draw:
+        _planted_per_draw(*args, margin=50.0)
+    assert str(block.value) == str(per_draw.value) == \
+        "class balance infeasible within 1000 draws"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8, 16])
+def test_normal_draws_equal_successive_normal_calls(r):
+    for seed in range(3):
+        a, b = make_rng(seed), make_rng(seed)
+        count = 3 * rng_module.BLOCK + 17
+        want = np.stack([normal(a, r) for _ in range(count)])
+        got = normal_draws(b, r, count)
+        assert got.tobytes() == want.tobytes()
+        assert rng_state_bytes(a) == rng_state_bytes(b)
+    assert normal_draws(make_rng(0), r, 0).shape == (0, r)
 
 
 # --------------------------------------------------------------------- split
@@ -234,6 +366,13 @@ def test_csv_parse_error_names_row_and_column(tmp_path):
     with pytest.raises(ParseError) as ei:
         load_csv(p)
     assert "row 2" in str(ei.value) and "f1" in str(ei.value)
+
+    for cell in ("nan", "inf", "-Infinity", "1e999"):
+        p.write_text(f"f0,f1,label\n1.0,2.0,0\n{cell},1.0,1\n")
+        assert not math.isfinite(float(cell))
+        with pytest.raises(ParseError) as ei:
+            load_csv(p)
+        assert "row 2" in str(ei.value) and "'f0'" in str(ei.value)
 
 
 def test_csv_ragged_row_rejected(tmp_path):

@@ -1,4 +1,6 @@
 import copy
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -274,3 +276,56 @@ def test_checkpoint_truncation(tmp_path):
     p.write_bytes(p.read_bytes()[:-9])
     with pytest.raises(CorruptFile):
         load_checkpoint(p)
+
+
+def _with_header(blob, edit):
+    """Checkpoint bytes with the JSON header replaced by ``edit(header)``."""
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    header = edit(json.loads(blob[12:12 + hlen]))
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:]
+
+
+def _set(key, value, layer=None):
+    def edit(header):
+        target = header if layer is None else header["layers"][layer]
+        target[key] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda h: [h], "header has no list of layers"),
+    (_set("layers", 5), "header has no list of layers"),
+    (lambda h: {**h, "layers": [7] + h["layers"][1:]}, "is not an object"),
+    (_set("out", "3", layer=0), "are not positive integers"),
+    (_set("in", 2.0, layer=0), "are not positive integers"),
+    (_set("out", True, layer=0), "are not positive integers"),
+    (_set("out", 0, layer=0), "are not positive integers"),
+    (_set("history", [[0, 3]]), "history"),
+    (_set("history", 5), "history"),
+    (_set("input_dim", 9), "expects input"),
+    (_set("activation", "tanh", layer=1), "unknown activation"),
+    (_set("metrics", 5), ""),
+])
+def test_checkpoint_malformed_header(tmp_path, edit, why):
+    net = init_network([3], 2, 2, _rnd_normal(8))
+    cp = Checkpoint(format_version=1, network=net, rng_state=b"xyz", metrics={})
+    p = tmp_path / "h.rmtk"
+    p.write_bytes(_with_header(save_checkpoint(cp), edit))
+    with pytest.raises(CorruptFile) as ei:
+        load_checkpoint(p)
+    assert why in str(ei.value)
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    net = init_network([3], 2, 2, _rnd_normal(8))
+    cp = Checkpoint(format_version=1, network=net, rng_state=b"xyz", metrics={})
+    p = tmp_path / "x.rmtk"
+    blob = save_checkpoint(cp)
+    p.write_bytes(_with_header(blob, lambda h: h))
+    load_checkpoint(p)  # the re-packing helper itself yields a valid file
+    p.write_bytes(blob + b"\x00")
+    with pytest.raises(CorruptFile) as ei:
+        load_checkpoint(p)
+    assert "1 trailing bytes" in str(ei.value)
