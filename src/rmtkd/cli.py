@@ -31,7 +31,7 @@ from .errors import ConfigError, InvalidInput, RmtkdError
 from .network import (Checkpoint, CHECKPOINT_VERSION, init_network,
                       load_checkpoint, param_count, save_checkpoint)
 from .reducer import (CompressionPlan, _hidden_layer_index, analyse_layer,
-                      quantile_ablation, run_loop)
+                      check_calibration_rank, quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal, rng_state_bytes
 from .spectral import spectrum_to_csv
 
@@ -49,6 +49,7 @@ _DISTILL_KEYS = {"alpha", "lr", "momentum", "batch_size", "max_epochs",
 _PLAN_KEYS = {"layer_order", "quantile", "min_k", "accuracy_floor",
               "max_iterations", "target_reduction"}
 _SPLIT_KEYS = {"train_fraction", "calibration_fraction"}
+_INT_KEYS = {"batch_size", "max_epochs", "min_k", "max_iterations"}  # else numbers
 _TOP_KEYS = {"task", "widths", "distill", "plan", "split", "seed", "output_dir"}
 
 
@@ -74,21 +75,45 @@ def _planted_params(task):
     return {**_PLANTED_DEFAULTS, **{k: v for k, v in task.items() if k != "kind"}}
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_planted(task):
     params = _planted_params(task)
     for key in ("input_dim", "intrinsic_dim", "num_classes", "n_samples"):
         value = params[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ConfigError(f"task.{key} must be a positive integer, got {value!r}")
     for key in ("noise_sigma", "margin"):
         value = params[key]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value) or value < 0):
+        if not _is_number(value) or value < 0:
             raise ConfigError(f"task.{key} must be a finite number >= 0, got {value!r}")
     if params["intrinsic_dim"] > params["input_dim"]:
         raise ConfigError("task.intrinsic_dim must be <= task.input_dim")
     if params["num_classes"] < 2:
         raise ConfigError("task.num_classes must be >= 2")
+
+
+def _section(raw, name, allowed):
+    """The ``name`` section as a dict, its keys and value types checked."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    _check_keys(name, section, allowed)
+    for key, value in section.items():
+        if key == "layer_order":
+            continue  # checked against widths below
+        if key in _INT_KEYS and not _is_int(value):
+            raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
+        if key not in _INT_KEYS and not _is_number(value):
+            raise ConfigError(f"{name}.{key} must be a finite number, got {value!r}")
+    return dict(section)
 
 
 def validate_config(raw, out_override=None, seed_override=None):
@@ -113,19 +138,16 @@ def validate_config(raw, out_override=None, seed_override=None):
 
     widths = raw["widths"]
     if (not isinstance(widths, list) or not widths
-            or not all(isinstance(w, int) and w >= 1 for w in widths)):
+            or not all(_is_int(w) and w >= 1 for w in widths)):
         raise ConfigError("widths must be a non-empty list of positive integers")
 
+    distill_raw = _section(raw, "distill", _DISTILL_KEYS)
+    plan_raw = _section(raw, "plan", _PLAN_KEYS)
+    plan_raw.setdefault("layer_order", list(range(len(widths))))
+    split_raw = _section(raw, "split", _SPLIT_KEYS)
     try:
-        distill_raw = dict(raw.get("distill", {}))
-        _check_keys("distill", distill_raw, _DISTILL_KEYS)
         distill = DistillConfig(**distill_raw)
-        plan_raw = dict(raw.get("plan", {}))
-        _check_keys("plan", plan_raw, _PLAN_KEYS)
-        plan_raw.setdefault("layer_order", list(range(len(widths))))
         plan = CompressionPlan(**plan_raw)
-        split_raw = dict(raw.get("split", {}))
-        _check_keys("split", split_raw, _SPLIT_KEYS)
         split_spec = SplitSpec(**split_raw)
     except InvalidInput as e:
         raise ConfigError(str(e)) from e
@@ -133,7 +155,7 @@ def validate_config(raw, out_override=None, seed_override=None):
     if not isinstance(plan.layer_order, list):
         raise ConfigError("layer_order must be a list of hidden-layer ordinals")
     bad = [o for o in plan.layer_order
-           if not isinstance(o, int) or not 0 <= o < len(widths)]
+           if not _is_int(o) or not 0 <= o < len(widths)]
     if bad:
         raise ConfigError(f"layer_order entry {bad[0]!r} does not name a hidden layer")
     repeated = [o for i, o in enumerate(plan.layer_order) if o in plan.layer_order[:i]]
@@ -143,7 +165,7 @@ def validate_config(raw, out_override=None, seed_override=None):
     seed = raw.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
     output_dir = out_override or raw.get("output_dir")
@@ -261,6 +283,8 @@ def cmd_spectrum(cfg, layer_ordinal):
 
 def cmd_compress(cfg):
     parts = _split_parts(cfg, build_task(cfg))
+    check_calibration_rank(cfg.widths, parts[2].x.shape[1], cfg.plan,
+                           [cfg.plan.quantile])
     log_rows = []
     net, _, base_acc, _ = _warm_up(cfg, parts, log_rows)
     base_params, _ = param_count(net)
@@ -293,6 +317,7 @@ def cmd_compress(cfg):
 
 def cmd_ablate(cfg, grid):
     parts = _split_parts(cfg, build_task(cfg))
+    check_calibration_rank(cfg.widths, parts[2].x.shape[1], cfg.plan, grid)
     baseline, _, _, _ = _warm_up(cfg, parts)
     rows = quantile_ablation(baseline.copy, parts, grid, cfg.plan, cfg.distill,
                              seed=derive_seed(cfg.seed, "ablate"))

@@ -28,9 +28,10 @@ class DenseLayer:
     frozen: bool = False
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        # Own copies: sgd_step updates them in place.
+        self.weights = np.array(self.weights, dtype=np.float64)
         if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
+            self.bias = np.array(self.bias, dtype=np.float64)
             if self.bias.shape != (self.weights.shape[0],):
                 raise InvalidInput("bias length must equal output width")
         if self.activation not in ("relu", "identity"):
@@ -68,15 +69,9 @@ class Network:
 
     def copy(self):
         return Network(
-            layers=[
-                DenseLayer(
-                    weights=l.weights.copy(),
-                    bias=None if l.bias is None else l.bias.copy(),
-                    activation=l.activation,
-                    frozen=l.frozen,
-                )
-                for l in self.layers
-            ],
+            layers=[DenseLayer(weights=l.weights, bias=l.bias,
+                               activation=l.activation, frozen=l.frozen)
+                    for l in self.layers],
             input_dim=self.input_dim,
             num_classes=self.num_classes,
             history=list(self.history),
@@ -114,9 +109,9 @@ def forward(net, batch):
     for layer in net.layers:
         z = layer.weights @ acts[-1]
         if layer.bias is not None:
-            z = z + layer.bias[:, None]
+            z += layer.bias[:, None]
         if layer.activation == "relu":
-            z = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
         acts.append(z)
     return acts[-1], acts
 
@@ -141,15 +136,18 @@ def backward(net, acts, loss_grad_at_logits):
         if i > 0:
             g = layer.weights.T @ g
             if net.layers[i - 1].activation == "relu":
-                g = g * (acts[i] > 0)
+                g *= acts[i] > 0
     return grads
 
 
 def sgd_step(net, gradients, lr, momentum, state=None):
     """One momentum-SGD update: v = mu v + g; w -= lr v.
 
-    ``state`` holds the velocity buffers between calls; pass the returned
-    state back in to accumulate momentum.  Frozen layers are untouched.
+    Updates the layers' weights and biases and the velocity buffers in
+    place; the gradients are only read.  ``state`` holds the velocity
+    buffers between calls (created at a layer's first update); pass the
+    returned state back in to accumulate momentum.  Frozen layers are
+    untouched.
     """
     if lr < 0 or not 0.0 <= momentum < 1.0:
         raise InvalidInput("need lr >= 0 and momentum in [0, 1)")
@@ -159,14 +157,17 @@ def sgd_step(net, gradients, lr, momentum, state=None):
         layer = net.layers[i]
         if layer.frozen:
             continue
-        vw, vb = state.get(i, (np.zeros_like(layer.weights),
-                               None if layer.bias is None else np.zeros_like(layer.bias)))
-        vw = momentum * vw + gw
-        layer.weights = layer.weights - lr * vw
+        if i not in state:
+            state[i] = (np.zeros_like(layer.weights),
+                        None if layer.bias is None else np.zeros_like(layer.bias))
+        vw, vb = state[i]
+        vw *= momentum
+        vw += gw
+        layer.weights -= lr * vw
         if gb is not None:
-            vb = momentum * vb + gb
-            layer.bias = layer.bias - lr * vb
-        state[i] = (vw, vb)
+            vb *= momentum
+            vb += gb
+            layer.bias -= lr * vb
     return net, state
 
 
@@ -266,14 +267,14 @@ def load_checkpoint(path):
             if w.size != out * inp:
                 raise CorruptFile(f"{path}: truncated weights")
             off += nbytes
-            w = w.reshape(out, inp).copy()
+            w = w.reshape(out, inp)
             bias = None
             if spec["has_bias"]:
                 b = np.frombuffer(blob[off:off + out * 8], dtype="<f8")
                 if b.size != out:
                     raise CorruptFile(f"{path}: truncated bias")
                 off += out * 8
-                bias = b.copy()
+                bias = b
             layers.append(DenseLayer(weights=w, bias=bias,
                                      activation=spec["activation"], frozen=spec["frozen"]))
         if off != len(blob):

@@ -110,7 +110,7 @@ def apply_projection(net, proj):
     if net.layers[i + 1].frozen:
         raise AlreadyProjected(f"layer {i} already feeds a projection")
     out = net.copy()
-    p_layer = DenseLayer(weights=proj.matrix.copy(), bias=None,
+    p_layer = DenseLayer(weights=proj.matrix, bias=None,
                          activation="identity", frozen=True)
     out.layers.insert(i + 1, p_layer)
     down = out.layers[i + 2]
@@ -162,6 +162,30 @@ def analyse_layer(net, cal_x, layer_id, quantile):
         raise DegenerateSpectrum(f"layer {layer_id}: {e}") from e
     model = MPModel(sigma2=sigma2, q=spectrum.q)
     return spectrum, model, classify(spectrum, vecs, model), fit
+
+
+def check_calibration_rank(widths, n, plan, quantiles):
+    """Refuse a plan whose spectrum analysis is sure to be degenerate.
+
+    Hidden layer ``o`` of width d = ``widths[o]`` over n < d calibration
+    columns has at least d - n zero eigenvalues (the covariance is
+    uncentered, so its rank is at most n).  A quantile q with
+    q (d - 1) <= d - n - 1, i.e. q <= (d - n - 1) / (d - 1), puts the
+    sigma2 init between them, so :func:`analyse_layer` would fail after
+    all the training before it.  Checks every layer the loop may reach,
+    ``plan.layer_order[:plan.max_iterations]``, at every quantile, and
+    raises DegenerateSpectrum naming the first such pair.
+    """
+    for o in plan.layer_order[:plan.max_iterations]:
+        d = widths[o]
+        for q in quantiles:
+            if n < d and q * (d - 1) <= d - n - 1:
+                raise DegenerateSpectrum(
+                    f"layer {o}: the sigma2 init at quantile {q} is round-off; "
+                    f"at least {d - n} of d={d} eigenvalues are zero with n={n} "
+                    f"calibration samples; raise plan.quantile or "
+                    f"split.calibration_fraction"
+                )
 
 
 def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):

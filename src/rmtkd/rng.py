@@ -57,17 +57,25 @@ def normal(rng, size=None, mean=0.0, std=1.0):
         m = max(8, int(need * 0.7) + 4)  # ~pi/4 acceptance, two values per pair
         u = rng.uniform(-1.0, 1.0, size=m)
         v = rng.uniform(-1.0, 1.0, size=m)
-        s = u * u + v * v
-        ok = (s > 0.0) & (s < 1.0)
-        u, v, s = u[ok], v[ok], s[ok]
-        f = np.sqrt(-2.0 * np.log(s) / s)
-        pair = np.empty(2 * len(s), dtype=np.float64)
-        pair[0::2] = u * f
-        pair[1::2] = v * f
-        take = min(len(pair), need)
-        out[filled:filled + take] = pair[:take]
+        s = u * u
+        s += v * v
+        ok = s > 0.0
+        ok &= s < 1.0
+        u = u[ok]
+        v = v[ok]
+        s = s[ok]
+        f = np.log(s)  # f = sqrt(-2 log(s) / s), in place
+        f *= -2.0
+        f /= s
+        np.sqrt(f, out=f)
+        # the pairs (u f, v f) fill out in order, as many values as needed
+        take = min(2 * len(f), need)
+        dst = out[filled:filled + take]
+        np.multiply(u[:(take + 1) // 2], f[:(take + 1) // 2], out=dst[0::2])
+        np.multiply(v[:take // 2], f[:take // 2], out=dst[1::2])
         filled += take
-    out = mean + std * out
+    out *= std  # out = mean + std * out, in place
+    out += mean
     if size is None:
         return float(out[0])
     return out.reshape(size)

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import rmtkd
+from rmtkd import cli
 from rmtkd.cli import (DEFAULT_GRID, _parse_grid, main, validate_config,
                        write_outputs)
 from rmtkd.data import Dataset, save_csv
 from rmtkd.errors import ConfigError
 from rmtkd.network import load_checkpoint
+from rmtkd.reducer import check_calibration_rank
 from rmtkd.rng import make_rng, normal
 
 
@@ -194,6 +196,17 @@ def test_exit_2_on_config_problems(tmp_path):
         raw["task"].update(edit)
         assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2, edit
 
+    for section, edit in (("distill", {"lr": "0.1"}), ("distill", {"batch_size": 1.5}),
+                          ("plan", {"quantile": "0.5"}),
+                          ("split", {"train_fraction": "x"})):
+        raw = _base_config(tmp_path / "o")
+        raw[section].update(edit)
+        assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2, edit
+
+    raw = _base_config(tmp_path / "o")
+    raw["widths"] = [True]
+    assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2
+
     raw = _base_config(tmp_path / "o")
     raw["widths"] = [32, 32]
     raw["plan"]["layer_order"] = [0, 0]
@@ -320,6 +333,39 @@ def test_round_off_quantile_init_fails_with_context(tmp_path, capsys):
         assert "plan.quantile" in err and "split.calibration_fraction" in err
     assert sorted(os.listdir(out)) == trained
     assert not compress_out.exists()
+
+
+def test_sure_degenerate_layer_fails_before_training(tmp_path, capsys, monkeypatch):
+    # widths [32, 64] over 48 calibration columns: layer 1 has at least 16
+    # zero eigenvalues, so any quantile <= 15/63 is refused up front
+    calls = []
+
+    def no_training(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("train_until ran")
+
+    monkeypatch.setattr(cli, "train_until", no_training)
+    raw = _base_config(tmp_path / "o")
+    raw["widths"] = [32, 64]
+    raw["split"]["calibration_fraction"] = 0.1
+    for quantile, argv, named in ((0.2, ["compress"], 0.2),
+                                  (0.7, ["ablate", "--quantiles", "0.5,0.1,0.2"], 0.1)):
+        raw["plan"]["quantile"] = quantile
+        assert main(argv + ["--config", _write_config(tmp_path, raw)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 1: ") and "Traceback" not in err
+        assert f"quantile {named} is round-off" in err
+        assert "16 of d=64 eigenvalues are zero with n=48" in err
+        assert "plan.quantile" in err and "split.calibration_fraction" in err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+    # the loop never reaches layer 1, or the quantile clears the zeros
+    for plan in ({"quantile": 0.2, "max_iterations": 1},
+                 {"quantile": 0.25}, {"quantile": 0.2, "layer_order": [0]}):
+        raw["plan"] = plan
+        cfg = validate_config(raw)
+        check_calibration_rank(cfg.widths, 48, cfg.plan, [cfg.plan.quantile])
 
 
 # ----------------------------------------------------------- compress output

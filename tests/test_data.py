@@ -254,6 +254,69 @@ def test_normal_draws_equal_successive_normal_calls(r):
     assert normal_draws(make_rng(0), r, 0).shape == (0, r)
 
 
+def _normal_ref(rng, size=None, mean=0.0, std=1.0):
+    """The out-of-place polar method that the in-place ``normal`` replaced, verbatim."""
+    if size is None:
+        n = 1
+    else:
+        n = int(np.prod(size))
+    out = np.empty(n, dtype=np.float64)
+    filled = 0
+    while filled < n:
+        need = n - filled
+        m = max(8, int(need * 0.7) + 4)  # ~pi/4 acceptance, two values per pair
+        u = rng.uniform(-1.0, 1.0, size=m)
+        v = rng.uniform(-1.0, 1.0, size=m)
+        s = u * u + v * v
+        ok = (s > 0.0) & (s < 1.0)
+        u, v, s = u[ok], v[ok], s[ok]
+        f = np.sqrt(-2.0 * np.log(s) / s)
+        pair = np.empty(2 * len(s), dtype=np.float64)
+        pair[0::2] = u * f
+        pair[1::2] = v * f
+        take = min(len(pair), need)
+        out[filled:filled + take] = pair[:take]
+        filled += take
+    out = mean + std * out
+    if size is None:
+        return float(out[0])
+    return out.reshape(size)
+
+
+class _CountingUniform:
+    """A generator stand-in that counts ``uniform`` calls (two per round)."""
+
+    def __init__(self, seed):
+        self.rng = make_rng(seed)
+        self.calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("size, mean, std", [
+    (None, 0.0, 1.0), (None, -1.5, 0.3), ((), 0.0, 1.0), (1, 0.0, 1.0),
+    (7, 2.0, 0.5), ((12, 9), 0.0, 1.0), ((40, 25), 0.25, 3.0),
+    ((3, 0), 0.0, 1.0), (5000, 0.0, 1.0),
+])
+def test_normal_matches_out_of_place_reference(size, mean, std):
+    rounds = []
+    for seed in range(40):
+        a, b = _CountingUniform(seed), _CountingUniform(seed)
+        for _ in range(25):
+            before = a.calls
+            got = normal(a, size, mean=mean, std=std)
+            rounds.append((a.calls - before) // 2)
+            want = _normal_ref(b, size, mean=mean, std=std)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.shape(got) == np.shape(want)
+        assert rng_state_bytes(a.rng) == rng_state_bytes(b.rng)
+    if size in (7, (12, 9)):
+        assert max(rounds) >= 2  # multi-round calls are covered
+
+
 # --------------------------------------------------------------------- split
 
 def _labeled(counts, seed=0):

@@ -64,6 +64,18 @@ def test_init_network_he_scale():
     assert abs(got - np.sqrt(2.0 / 128)) < 0.01
 
 
+def test_dense_layer_owns_its_arrays():
+    w = np.array([[1.0, -2.0], [0.5, 3.0]])
+    b = np.array([0.25, -0.75])
+    w0, b0 = w.copy(), b.copy()
+    layer = DenseLayer(weights=w, bias=b, activation="identity")
+    assert layer.weights is not w and layer.bias is not b
+    net = Network(layers=[layer], input_dim=2, num_classes=2)
+    sgd_step(net, {0: (np.ones((2, 2)), np.ones(2))}, lr=0.1, momentum=0.9)
+    assert not np.array_equal(net.layers[0].weights, w0)
+    assert np.array_equal(w, w0) and np.array_equal(b, b0)
+
+
 def test_copy_is_deep():
     net = _tiny_net()
     dup = net.copy()
@@ -191,6 +203,7 @@ def test_sgd_step_two_steps_momentum_oracle():
     assert np.isclose(net.layers[0].weights[0, 0], 0.8)  # v=2, w=1-0.2
     net, state = sgd_step(net, g, lr=0.1, momentum=0.9, state=state)
     assert np.isclose(net.layers[0].weights[0, 0], 0.42)  # v=3.8, w=0.8-0.38
+    assert g[0][0][0, 0] == 2.0  # the gradient passed twice is only read
 
 
 def test_sgd_step_leaves_frozen_layers():
@@ -208,6 +221,133 @@ def test_sgd_step_validates_hyperparams():
         sgd_step(net, {}, lr=-1.0, momentum=0.0)
     with pytest.raises(InvalidInput):
         sgd_step(net, {}, lr=0.1, momentum=1.0)
+
+
+# ------------------------------------------- out-of-place reference parity
+# The out-of-place forward, backward and sgd_step that the in-place ones
+# replaced, kept verbatim: the in-place versions must give the same bits.
+
+def _forward_ref(net, batch):
+    a = np.asarray(batch, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != net.input_dim:
+        raise InvalidInput(
+            f"batch must be {net.input_dim} x b, got {a.shape}"
+        )
+    acts = [a]
+    for layer in net.layers:
+        z = layer.weights @ acts[-1]
+        if layer.bias is not None:
+            z = z + layer.bias[:, None]
+        if layer.activation == "relu":
+            z = np.maximum(z, 0.0)
+        acts.append(z)
+    return acts[-1], acts
+
+
+def _backward_ref(net, acts, loss_grad_at_logits):
+    g = np.asarray(loss_grad_at_logits, dtype=np.float64)
+    if g.shape != acts[-1].shape:
+        raise InvalidInput("gradient shape must match logits")
+    grads = {}
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if not layer.frozen:
+            gw = g @ acts[i].T
+            gb = None if layer.bias is None else g.sum(axis=1)
+            grads[i] = (gw, gb)
+        if i > 0:
+            g = layer.weights.T @ g
+            if net.layers[i - 1].activation == "relu":
+                g = g * (acts[i] > 0)
+    return grads
+
+
+def _sgd_step_ref(net, gradients, lr, momentum, state=None):
+    if lr < 0 or not 0.0 <= momentum < 1.0:
+        raise InvalidInput("need lr >= 0 and momentum in [0, 1)")
+    if state is None:
+        state = {}
+    for i, (gw, gb) in gradients.items():
+        layer = net.layers[i]
+        if layer.frozen:
+            continue
+        vw, vb = state.get(i, (np.zeros_like(layer.weights),
+                               None if layer.bias is None else np.zeros_like(layer.bias)))
+        vw = momentum * vw + gw
+        layer.weights = layer.weights - lr * vw
+        if gb is not None:
+            vb = momentum * vb + gb
+            layer.bias = layer.bias - lr * vb
+        state[i] = (vw, vb)
+    return net, state
+
+
+def _projected_net(seed):
+    """relu 6 -> 9, frozen bias-free 9 -> 5 projection, relu 5 -> 7, identity 7 -> 4."""
+    net = init_network([9, 7], 6, 4, _rnd_normal(seed))
+    p, _ = np.linalg.qr(normal(make_rng(seed + 1), (9, 5)))
+    net.layers.insert(1, DenseLayer(weights=p.T, bias=None,
+                                    activation="identity", frozen=True))
+    net.layers[2].weights = net.layers[2].weights[:, :5].copy()
+    net.check_dims()
+    return net
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_in_place_training_matches_out_of_place_bits():
+    net, ref = _projected_net(20), _projected_net(20)
+    assert net.layers[-1].activation == "identity" and net.layers[1].bias is None
+    rng = make_rng(21)
+    state = ref_state = None
+    for step in range(25):
+        x = normal(rng, (6, 16))
+        target = normal(rng, (4, 16))
+        logits, acts = forward(net, x)
+        ref_logits, ref_acts = _forward_ref(ref, x)
+        assert _same_bits(logits, ref_logits), step
+        assert all(_same_bits(a, r) for a, r in zip(acts, ref_acts)), step
+        grads = backward(net, acts, logits - target)
+        ref_grads = _backward_ref(ref, ref_acts, ref_logits - target)
+        assert set(grads) == set(ref_grads) == {0, 2, 3}
+        for i, (gw, gb) in grads.items():
+            assert _same_bits(gw, ref_grads[i][0]) and _same_bits(gb, ref_grads[i][1])
+        _, state = sgd_step(net, grads, lr=0.05, momentum=0.9, state=state)
+        _, ref_state = _sgd_step_ref(ref, ref_grads, lr=0.05, momentum=0.9,
+                                     state=ref_state)
+        for layer, ref_layer in zip(net.layers, ref.layers):
+            assert _same_bits(layer.weights, ref_layer.weights), step
+            assert (layer.bias is None) == (ref_layer.bias is None)
+            if layer.bias is not None:
+                assert _same_bits(layer.bias, ref_layer.bias), step
+        assert set(state) == set(ref_state)
+        for i, (vw, vb) in state.items():
+            assert _same_bits(vw, ref_state[i][0]), step
+            assert _same_bits(vb, ref_state[i][1]), step
+    assert np.array_equal(net.layers[1].weights, _projected_net(20).layers[1].weights)
+
+
+def test_forward_backward_sgd_leave_their_inputs_alone():
+    net = _projected_net(22)
+    x = normal(make_rng(23), (6, 8))
+    x0 = x.copy()
+    logits, acts = forward(net, x)
+    assert np.array_equal(x, x0)
+    acts0 = [a.copy() for a in acts]
+    grad = logits - 1.0
+    grad0 = grad.copy()
+    grads = backward(net, acts, grad)
+    assert np.array_equal(grad, grad0)
+    assert all(np.array_equal(a, a0) for a, a0 in zip(acts, acts0))
+    grads0 = {i: (gw.copy(), None if gb is None else gb.copy())
+              for i, (gw, gb) in grads.items()}
+    _, state = sgd_step(net, grads, lr=0.1, momentum=0.9)
+    sgd_step(net, grads, lr=0.1, momentum=0.9, state=state)
+    for i, (gw, gb) in grads.items():
+        assert np.array_equal(gw, grads0[i][0])
+        assert (gb is None and grads0[i][1] is None) or np.array_equal(gb, grads0[i][1])
 
 
 # -------------------------------------------------------------- param_count

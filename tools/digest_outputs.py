@@ -1,12 +1,16 @@
-"""Hash every output file of the four rmtkd subcommands on the README toy config.
+"""Hash every output file of the four rmtkd subcommands on the README toy config,
+and of ``compress`` on the wide benchmark config.
 
     python3 tools/digest_outputs.py --seeds 0 1
 
 Run from a source checkout; ``rmtkd`` is imported from the ``src/`` next to
 this script.  For each seed it runs ``train``, ``spectrum --layer 0`` (on a
 copy of that seed's trained checkpoint), ``compress`` and ``ablate
---quantiles 0.3,0.7`` into a temporary directory, then prints one line
-``<sha256> <command>/<seed>/<file>`` per output file, sorted by path.
+--quantiles 0.3,0.7`` on the toy config, then ``compress`` on the wide
+config (input 128, N=20000, widths [512, 512], whose 512-wide gemms the toy
+config's 64-wide layers do not exercise), each into a temporary directory.
+It prints one line ``<sha256> <run>/<seed>/<file>`` per output file, sorted
+by path.
 
 Two checkouts that print the same listing write the same bytes, so
 ``diff`` of two listings proves a refactor changed no output.
@@ -29,22 +33,30 @@ TOY_CONFIG = {
     "distill": {"max_epochs": 40, "accuracy_threshold": 0.95},
     "plan": {"quantile": 0.7, "layer_order": [0, 1]},
 }
-COMMANDS = [
-    ("train", ["train"]),
-    ("spectrum", ["spectrum", "--layer", "0"]),
-    ("compress", ["compress"]),
-    ("ablate", ["ablate", "--quantiles", "0.3,0.7"]),
+WIDE_CONFIG = {
+    "task": dict(TOY_CONFIG["task"], input_dim=128, intrinsic_dim=16, n_samples=20000),
+    "widths": [512, 512],
+    "distill": TOY_CONFIG["distill"],
+    "plan": TOY_CONFIG["plan"],
+}
+# (run name, config, argv); "spectrum" reads the checkpoint "train" wrote
+RUNS = [
+    ("train", TOY_CONFIG, ["train"]),
+    ("spectrum", TOY_CONFIG, ["spectrum", "--layer", "0"]),
+    ("compress", TOY_CONFIG, ["compress"]),
+    ("ablate", TOY_CONFIG, ["ablate", "--quantiles", "0.3,0.7"]),
+    ("wide-compress", WIDE_CONFIG, ["compress"]),
 ]
 
 
 def digests(work, seeds, main):
     """Run every command for every seed under ``work``; return sorted lines."""
-    config_path = os.path.join(work, "config.json")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(TOY_CONFIG, fh, sort_keys=True)
     lines = []
     for seed in seeds:
-        for name, argv in COMMANDS:
+        for name, config, argv in RUNS:
+            config_path = os.path.join(work, f"{name}.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh, sort_keys=True)
             out = os.path.join(work, name, str(seed))
             os.makedirs(out)
             if name == "spectrum":
