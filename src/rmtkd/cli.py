@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from .data import SplitSpec, load_csv, planted_subspace_task, split
 from .distill import DistillConfig, accuracy, train_until
 from .errors import ConfigError, InvalidInput, RmtkdError
-from .network import (Checkpoint, CHECKPOINT_VERSION, init_network,
-                      load_checkpoint, param_count, save_checkpoint)
+from .network import (Checkpoint, init_network, load_checkpoint, param_count,
+                      save_checkpoint)
 from .reducer import (CompressionPlan, _hidden_layer_index, analyse_layer,
                       check_calibration_rank, quantile_ablation, run_loop)
-from .rng import derive_seed, make_rng, normal, rng_state_bytes
+from .rng import derive_seed, make_rng, normal
 from .spectral import spectrum_to_csv
 
 DEFAULT_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -165,8 +165,8 @@ def validate_config(raw, out_override=None, seed_override=None):
     seed = raw.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
     output_dir = out_override or raw.get("output_dir")
     if not output_dir:
@@ -197,10 +197,9 @@ def _warm_up(cfg, parts, log_rows=None):
     init_rng = make_rng(derive_seed(cfg.seed, "init"))
     net = init_network(cfg.widths, train_part.dim, train_part.num_classes,
                        lambda shape: normal(init_rng, shape))
-    rng = make_rng(derive_seed(cfg.seed, "warmup"))
-    net, epochs, acc = train_until(net, (train_part, val_part), cfg.distill,
-                                   rng=rng, log_rows=log_rows)
-    return net, epochs, acc, rng
+    warmup_rng = make_rng(derive_seed(cfg.seed, "warmup"))
+    return train_until(net, (train_part, val_part), cfg.distill, rng=warmup_rng,
+                       log_rows=log_rows)
 
 
 def write_outputs(outdir, staged):
@@ -225,10 +224,8 @@ def write_outputs(outdir, staged):
         raise
 
 
-def _checkpoint_bytes(net, rng, metrics):
-    return save_checkpoint(Checkpoint(format_version=CHECKPOINT_VERSION,
-                                      network=net, rng_state=rng_state_bytes(rng),
-                                      metrics=metrics))
+def _checkpoint_bytes(net, metrics):
+    return save_checkpoint(Checkpoint(network=net, metrics=metrics))
 
 
 def history_csv(history):
@@ -245,12 +242,12 @@ def history_csv(history):
 def cmd_train(cfg):
     parts = _split_parts(cfg, build_task(cfg))
     log_rows = []
-    net, epochs, acc, rng = _warm_up(cfg, parts, log_rows)
+    net, epochs, acc = _warm_up(cfg, parts, log_rows)
     trainable, frozen = param_count(net)
     staged = {
         "training_log.csv": "epoch,train_loss,ce_term,kl_term,val_accuracy\n"
                             + "".join(row + "\n" for row in log_rows),
-        "checkpoint.rmtk": _checkpoint_bytes(net, rng, {
+        "checkpoint.rmtk": _checkpoint_bytes(net, {
             "val_accuracy": acc, "epochs_used": epochs,
             "trainable_params": trainable,
         }),
@@ -286,7 +283,7 @@ def cmd_compress(cfg):
     check_calibration_rank(cfg.widths, parts[2].x.shape[1], cfg.plan,
                            [cfg.plan.quantile])
     log_rows = []
-    net, _, base_acc, _ = _warm_up(cfg, parts, log_rows)
+    net, _, base_acc = _warm_up(cfg, parts, log_rows)
     base_params, _ = param_count(net)
     loop_rng = make_rng(derive_seed(cfg.seed, "loop"))
     net, history = run_loop(net, parts, cfg.plan, cfg.distill, loop_rng)
@@ -305,7 +302,7 @@ def cmd_compress(cfg):
                             + "".join(row + "\n" for row in log_rows),
         "history.csv": history_csv(history),
         "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
-        "checkpoint.rmtk": _checkpoint_bytes(net, loop_rng, {
+        "checkpoint.rmtk": _checkpoint_bytes(net, {
             "val_accuracy": final_acc,
             "baseline_accuracy": base_acc,
             "reduction_fraction": summary["reduction_fraction"],
@@ -318,7 +315,7 @@ def cmd_compress(cfg):
 def cmd_ablate(cfg, grid):
     parts = _split_parts(cfg, build_task(cfg))
     check_calibration_rank(cfg.widths, parts[2].x.shape[1], cfg.plan, grid)
-    baseline, _, _, _ = _warm_up(cfg, parts)
+    baseline, _, _ = _warm_up(cfg, parts)
     rows = quantile_ablation(baseline.copy, parts, grid, cfg.plan, cfg.distill,
                              seed=derive_seed(cfg.seed, "ablate"))
     lines = ["quantile,final_accuracy,reduction_fraction"]

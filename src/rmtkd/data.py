@@ -247,12 +247,12 @@ def split(ds, spec):
     return take(train_idx), take(val_idx), take(cal_idx)
 
 
-def load_csv(path, label_column="label", feature_columns=None):
+def load_csv(path, label_column="label"):
     """Load a dataset from CSV: header row, decimal floats, dense labels.
 
-    Feature columns default to every non-label column, in file order.  Row
-    order is preserved; labels are re-indexed densely to [0, num_classes)
-    by sorted order.
+    The features are every non-label column, in file order.  Row order is
+    preserved; labels are re-indexed densely to [0, num_classes) by sorted
+    order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln != ""]
@@ -261,13 +261,11 @@ def load_csv(path, label_column="label", feature_columns=None):
     header = lines[0].split(",")
     if label_column not in header:
         raise SchemaError(f"{path}: no column named {label_column!r}")
-    if feature_columns is None:
-        feature_columns = [h for h in header if h != label_column]
-    missing = [c for c in feature_columns if c not in header]
-    if missing:
-        raise SchemaError(f"{path}: unknown feature columns {missing}")
+    features = [h for h in header if h != label_column]
+    if not features:
+        raise SchemaError(f"{path}: no feature columns besides {label_column!r}")
     col_of = {h: i for i, h in enumerate(header)}
-    feat_pos = [col_of[c] for c in feature_columns]
+    feat_pos = [col_of[c] for c in features]
     label_pos = col_of[label_column]
 
     rows = []
@@ -277,7 +275,7 @@ def load_csv(path, label_column="label", feature_columns=None):
         if len(cells) != len(header):
             raise ParseError(f"{path}: row {rnum} has {len(cells)} cells, expected {len(header)}")
         feats = []
-        for c, pos in zip(feature_columns, feat_pos):
+        for c, pos in zip(features, feat_pos):
             try:
                 value = float(cells[pos])
             except ValueError:

@@ -47,6 +47,15 @@ def softmax(logits):
     return e / np.sum(e, axis=0, keepdims=True)
 
 
+def _kl_terms(p_old, p_new, epsilon_prob):
+    """Elementwise p_old * (log p_old - log max(p_new, epsilon_prob)), 0 where p_old = 0."""
+    qf = np.maximum(p_new, epsilon_prob)
+    mask = p_old > 0
+    terms = np.zeros_like(p_old)
+    terms[mask] = p_old[mask] * (np.log(p_old[mask]) - np.log(qf[mask]))
+    return terms
+
+
 def kl_divergence(p_old, p_new, epsilon_prob=1e-12):
     """KL(p_old || p_new) = sum_i p_old(i) * log(p_old(i) / p_new(i)).
 
@@ -63,34 +72,16 @@ def kl_divergence(p_old, p_new, epsilon_prob=1e-12):
         raise InvalidInput("negative probability entry")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise InvalidInput("distributions must sum to 1")
-    qf = np.maximum(q, epsilon_prob)
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(qf[mask]))))
-
-
-def _ce_and_kl(logits_new, logits_old, labels, epsilon_prob):
-    """Batch-mean CE and KL terms plus softmaxes (columns = samples)."""
-    b = logits_new.shape[1]
-    p_new = softmax(logits_new)
-    cols = np.arange(b)
-    ce = float(-np.mean(np.log(np.maximum(p_new[labels, cols], epsilon_prob))))
-    kl = 0.0
-    p_old = None
-    if logits_old is not None:
-        p_old = softmax(logits_old)
-        qf = np.maximum(p_new, epsilon_prob)
-        mask = p_old > 0
-        terms = np.zeros_like(p_old)
-        terms[mask] = p_old[mask] * (np.log(p_old[mask]) - np.log(qf[mask]))
-        kl = float(terms.sum() / b)
-    return ce, kl, p_new, p_old
+    return float(_kl_terms(p, q, epsilon_prob).sum())
 
 
 def combined_loss(logits_new, logits_old, labels, alpha, epsilon_prob=1e-12):
     """L = alpha * CE + (1 - alpha) * KL(p_old || p_new), batch mean.
 
-    Returns ``(loss, grad_at_logits_new)``.  No gradient flows to the
-    teacher logits.  alpha = 1 is pure CE, alpha = 0 pure distillation.
+    Returns ``(loss, grad_at_logits_new, ce, kl)``: the loss, its gradient
+    and its two batch-mean terms (kl is 0.0 with no teacher).  No gradient
+    flows to the teacher logits.  alpha = 1 is pure CE, alpha = 0 pure
+    distillation.
     """
     new = np.asarray(logits_new, dtype=np.float64)
     labels = np.asarray(labels)
@@ -104,14 +95,20 @@ def combined_loss(logits_new, logits_old, labels, alpha, epsilon_prob=1e-12):
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput("alpha must lie in [0, 1]")
     b = new.shape[1]
-    ce, kl, p_new, p_old = _ce_and_kl(new, old, labels, epsilon_prob)
+    cols = np.arange(b)
+    p_new = softmax(new)
+    ce = float(-np.mean(np.log(np.maximum(p_new[labels, cols], epsilon_prob))))
+    kl = 0.0
+    if old is not None:
+        p_old = softmax(old)
+        kl = float(_kl_terms(p_old, p_new, epsilon_prob).sum() / b)
     loss = alpha * ce + (1.0 - alpha) * kl
     onehot = np.zeros_like(p_new)
-    onehot[labels, np.arange(b)] = 1.0
+    onehot[labels, cols] = 1.0
     grad = alpha * (p_new - onehot)
     if old is not None:
         grad = grad + (1.0 - alpha) * (p_new - p_old)
-    return loss, grad / b
+    return loss, grad / b, ce, kl
 
 
 def snapshot_teacher(net):
@@ -165,8 +162,8 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
             logits_old = None
             if teacher is not None:
                 logits_old, _ = forward(teacher, xb)
-            loss, grad = combined_loss(logits, logits_old, yb, alpha, cfg.epsilon_prob)
-            ce, kl, _, _ = _ce_and_kl(logits, logits_old, yb, cfg.epsilon_prob)
+            loss, grad, ce, kl = combined_loss(logits, logits_old, yb, alpha,
+                                               cfg.epsilon_prob)
             grads = backward(net, acts, grad)
             _, state = sgd_step(net, grads, cfg.lr, cfg.momentum, state)
             loss_sum += loss

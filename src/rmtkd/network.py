@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CorruptFile, InvalidInput, VersionMismatch
 
 CHECKPOINT_MAGIC = b"RMTK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -191,14 +191,12 @@ def param_count(net):
 
 @dataclass
 class Checkpoint:
-    format_version: int
     network: Network
-    rng_state: bytes
     metrics: dict
 
 
 def save_checkpoint(cp):
-    """Checkpoint bytes: magic, version, JSON header, rng state, raw f64."""
+    """Checkpoint bytes: magic, version, JSON header, raw little-endian f64."""
     header = {
         "input_dim": cp.network.input_dim,
         "num_classes": cp.network.num_classes,
@@ -216,14 +214,17 @@ def save_checkpoint(cp):
         "metrics": {k: cp.metrics[k] for k in sorted(cp.metrics)},
     }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", cp.format_version),
-             struct.pack("<I", len(raw)), raw,
-             struct.pack("<I", len(cp.rng_state)), cp.rng_state]
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+             struct.pack("<I", len(raw)), raw]
     for layer in cp.network.layers:
         parts.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
         if layer.bias is not None:
             parts.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
     return b"".join(parts)
+
+
+def _is_positive_int(value):
+    return type(value) is int and value >= 1  # a JSON true is not a dimension
 
 
 def load_checkpoint(path):
@@ -242,12 +243,6 @@ def load_checkpoint(path):
         if len(blob[off:off + hlen]) < hlen:
             raise CorruptFile(f"{path}: truncated header")
         off += hlen
-        rlen = struct.unpack("<I", blob[off:off + 4])[0]
-        off += 4
-        rng_state = blob[off:off + rlen]
-        if len(rng_state) < rlen:
-            raise CorruptFile(f"{path}: truncated rng state")
-        off += rlen
         if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
             raise CorruptFile(f"{path}: header has no list of layers")
         history = header["history"]
@@ -255,13 +250,18 @@ def load_checkpoint(path):
                 isinstance(h, list) and len(h) == 3 and all(type(v) is int for v in h)
                 for h in history)):
             raise CorruptFile(f"{path}: history must be a list of [layer_id, d, k]")
+        dims = (header["input_dim"], header["num_classes"])
+        if not all(_is_positive_int(dim) for dim in dims):
+            raise CorruptFile(f"{path}: input_dim and num_classes {dims!r} are not positive integers")
         layers = []
         for spec in header["layers"]:
             if not isinstance(spec, dict):
                 raise CorruptFile(f"{path}: layer spec {spec!r} is not an object")
             out, inp = spec["out"], spec["in"]
-            if not all(type(dim) is int and dim >= 1 for dim in (out, inp)):
+            if not all(_is_positive_int(dim) for dim in (out, inp)):
                 raise CorruptFile(f"{path}: layer dims {out!r} x {inp!r} are not positive integers")
+            if not all(type(spec[flag]) is bool for flag in ("frozen", "has_bias")):
+                raise CorruptFile(f"{path}: layer flags frozen and has_bias must be true or false")
             nbytes = out * inp * 8
             w = np.frombuffer(blob[off:off + nbytes], dtype="<f8")
             if w.size != out * inp:
@@ -279,11 +279,9 @@ def load_checkpoint(path):
                                      activation=spec["activation"], frozen=spec["frozen"]))
         if off != len(blob):
             raise CorruptFile(f"{path}: {len(blob) - off} trailing bytes after the weights")
-        net = Network(layers=layers, input_dim=header["input_dim"],
-                      num_classes=header["num_classes"],
+        net = Network(layers=layers, input_dim=dims[0], num_classes=dims[1],
                       history=[tuple(h) for h in history])
         metrics = dict(header["metrics"])
     except (KeyError, TypeError, ValueError, struct.error, InvalidInput) as e:
         raise CorruptFile(f"{path}: {e}") from e
-    return Checkpoint(format_version=version, network=net,
-                      rng_state=rng_state, metrics=metrics)
+    return Checkpoint(network=net, metrics=metrics)

@@ -125,21 +125,3 @@ def normal_draws(rng, size, count):
             done += 1
     return out
 
-
-def rng_state_bytes(rng):
-    """Serialize a generator's state to canonical bytes (for checkpoints)."""
-    import json
-
-    st = rng.bit_generator.state
-    canon = {
-        "bit_generator": st["bit_generator"],
-        "state": {
-            "counter": [int(x) for x in st["state"]["counter"]],
-            "key": [int(x) for x in st["state"]["key"]],
-        },
-        "buffer": [int(x) for x in st["buffer"]],
-        "buffer_pos": int(st["buffer_pos"]),
-        "has_uint32": int(st["has_uint32"]),
-        "uinteger": int(st["uinteger"]),
-    }
-    return json.dumps(canon, sort_keys=True).encode("ascii")

@@ -126,20 +126,17 @@ def spectrum_to_csv(spectrum):
     return "\n".join(lines) + "\n"
 
 
-def compute_covariance(x, center=False):
+def compute_covariance(x):
     """Empirical covariance Sigma = (1/n) X X^T of a d x n activation matrix.
 
-    Uncentered by default: the mean is *not* subtracted, matching the raw
-    second-moment formula.  Pass ``center=True`` to subtract the per-feature
-    mean first.
+    Uncentered: the mean is *not* subtracted, matching the raw second-moment
+    formula.
     """
     a = x.entries if isinstance(x, ActivationMatrix) else np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] < 2:
         raise InvalidInput("expected a d x n matrix with n >= 2")
     if not np.all(np.isfinite(a)):
         raise InvalidInput("non-finite entry in activation matrix")
-    if center:
-        a = a - a.mean(axis=1, keepdims=True)
     n = a.shape[1]
     cov = (a @ a.T) / n
     # Exact symmetry despite floating-point summation order.

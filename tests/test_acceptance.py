@@ -20,7 +20,7 @@ from rmtkd.errors import InvalidInput
 from rmtkd.network import DenseLayer, Network, backward, forward, init_network
 from rmtkd.reducer import (CompressionPlan, Projection, apply_projection,
                            run_loop)
-from rmtkd.rng import make_rng, normal, rng_state_bytes
+from rmtkd.rng import make_rng, normal
 from rmtkd.spectral import (MPModel, classify, compute_covariance, eig_sym,
                             fit_sigma2, init_sigma2, mp_bulk_edges,
                             mp_density, wigner_semicircle_density)
@@ -138,7 +138,7 @@ def test_criterion_4_gradient_correctness():
             return combined_loss(logits, t_logits, labels, alpha=0.4)[0]
 
         logits, acts = forward(net, x)
-        _, g_logits = combined_loss(logits, t_logits, labels, alpha=0.4)
+        _, g_logits, _, _ = combined_loss(logits, t_logits, labels, alpha=0.4)
         grads = backward(net, acts, g_logits)
         eps = 1e-6
         for i, (gw, gb) in grads.items():
@@ -289,13 +289,13 @@ def test_criterion_8_determinism_and_rollback(tmp_path):
     from rmtkd.distill import DistillConfig
     cfg = validate_config(dict(base, output_dir=str(tmp_path / "rb")))
     parts = _split_parts(cfg, build_task(cfg))
-    net, _, _, _ = _warm_up(cfg, parts)
-    before = _checkpoint_bytes(net, make_rng(0), {})
+    net, _, _ = _warm_up(cfg, parts)
+    before = _checkpoint_bytes(net, {})
     starved = DistillConfig(max_epochs=1, accuracy_threshold=0.99, lr=0.0)
     plan = CompressionPlan(layer_order=[0], quantile=0.7, accuracy_floor=1.0)
     rolled, history = run_loop(net.copy(), parts, plan, starved, make_rng(1))
     assert len(history) == 1 and history[0].acc_after_finetune < 1.0
-    after = _checkpoint_bytes(rolled, make_rng(0), {})
+    after = _checkpoint_bytes(rolled, {})
     assert before == after, "rollback did not restore the pre-step checkpoint"
     print("criterion 8: 4 commands bit-identical on rerun; rollback exact")
 

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -16,7 +17,8 @@ from rmtkd.cli import (DEFAULT_GRID, _parse_grid, main, validate_config,
                        write_outputs)
 from rmtkd.data import Dataset, save_csv
 from rmtkd.errors import ConfigError
-from rmtkd.network import load_checkpoint
+from rmtkd.network import (Checkpoint, init_network, load_checkpoint,
+                           save_checkpoint)
 from rmtkd.reducer import check_calibration_rank
 from rmtkd.rng import make_rng, normal
 
@@ -164,6 +166,7 @@ def test_validate_config_overrides():
     raw = _base_config("orig")
     cfg = validate_config(raw, out_override="elsewhere", seed_override=99)
     assert cfg.output_dir == "elsewhere" and cfg.seed == 99
+    assert validate_config(raw, seed_override=2**64 - 1).seed == 2**64 - 1
 
 
 def test_parse_grid():
@@ -208,6 +211,13 @@ def test_exit_2_on_config_problems(tmp_path):
     assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2
 
     raw = _base_config(tmp_path / "o")
+    raw["seed"] = 2**64  # one past the 8 bytes every sub-seed derives from
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2
+    raw["seed"] = 7
+    assert main(["train", "--config", _write_config(tmp_path, raw),
+                 "--seed", str(2**64)]) == 2
+
+    raw = _base_config(tmp_path / "o")
     raw["widths"] = [32, 32]
     raw["plan"]["layer_order"] = [0, 0]
     assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2
@@ -224,6 +234,23 @@ def test_exit_2_spectrum_without_layer(tmp_path):
 def test_exit_1_spectrum_without_checkpoint(tmp_path):
     cfgp = _write_config(tmp_path, _base_config(tmp_path / "o"))
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+
+
+def test_exit_1_spectrum_on_v1_checkpoint(tmp_path, capsys):
+    # a version 1 file, generator state after the header, is refused as such
+    out = tmp_path / "o"
+    out.mkdir()
+    net = init_network([32], 16, 3, lambda shape: np.zeros(shape))
+    blob = save_checkpoint(Checkpoint(network=net, metrics={}))
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    state = b'{"bit_generator":"Philox"}'
+    (out / "checkpoint.rmtk").write_bytes(
+        blob[:4] + struct.pack("<I", 1) + blob[8:end]
+        + struct.pack("<I", len(state)) + state + blob[end:])
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "format version 1, expected 2" in err and "Traceback" not in err
 
 
 def test_exit_1_when_output_dir_is_a_file(tmp_path):
@@ -272,6 +299,10 @@ def test_train_csv_task(tmp_path):
     cp = load_checkpoint(out / "checkpoint.rmtk")
     assert cp.metrics["val_accuracy"] >= 0.9
     assert cp.network.input_dim == 3 and cp.network.num_classes == 2
+
+    data_path.write_text("label\n0\n1\n")  # no feature column
+    assert main(["train", "--config", _write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "labels-only")]) == 1
 
 
 # ----------------------------------------------------------- spectrum output

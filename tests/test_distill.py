@@ -108,10 +108,11 @@ def test_kl_nonnegative(pw, qw):
 def test_combined_loss_alpha_one_is_plain_ce():
     logits = np.array([[2.0, -1.0], [0.0, 1.0]])
     labels = np.array([0, 1])
-    loss, grad = combined_loss(logits, None, labels, alpha=1.0)
+    loss, grad, ce, kl = combined_loss(logits, None, labels, alpha=1.0)
     p = softmax(logits)
     want = -0.5 * (math.log(p[0, 0]) + math.log(p[1, 1]))
     assert abs(loss - want) < 1e-12
+    assert ce == loss and kl == 0.0
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(grad, (p - onehot) / 2)
 
@@ -121,17 +122,21 @@ def test_combined_loss_alpha_zero_is_pure_kl():
     s = normal(rng, (4, 3))
     t = normal(rng, (4, 3))
     labels = np.array([0, 1, 2])
-    loss, _ = combined_loss(s, t, labels, alpha=0.0)
+    loss, _, ce, kl = combined_loss(s, t, labels, alpha=0.0)
     ps, pt = softmax(s), softmax(t)
     want = np.mean([kl_divergence(pt[:, j], ps[:, j]) for j in range(3)])
     assert abs(loss - want) < 1e-12
+    assert kl == loss
+    assert abs(ce - np.mean([-math.log(ps[j, j]) for j in range(3)])) < 1e-12
+    mixed, _, ce_m, kl_m = combined_loss(s, t, labels, alpha=0.3)
+    assert (ce_m, kl_m) == (ce, kl) and mixed == 0.3 * ce + (1.0 - 0.3) * kl
 
 
 def test_combined_loss_teacher_match_kills_kl_gradient():
     logits = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.0]])
     labels = np.array([2, 0])
-    _, g_half = combined_loss(logits, logits.copy(), labels, alpha=0.5)
-    _, g_ce = combined_loss(logits, None, labels, alpha=1.0)
+    _, g_half, _, _ = combined_loss(logits, logits.copy(), labels, alpha=0.5)
+    _, g_ce, _, _ = combined_loss(logits, None, labels, alpha=1.0)
     assert np.allclose(g_half, 0.5 * g_ce)
 
 
@@ -140,14 +145,14 @@ def test_combined_loss_gradient_finite_difference():
     s = normal(rng, (5, 4))
     t = normal(rng, (5, 4))
     labels = np.array([0, 2, 4, 1])
-    _, grad = combined_loss(s, t, labels, alpha=0.3)
+    grad = combined_loss(s, t, labels, alpha=0.3)[1]
     eps = 1e-6
     for (i, j) in [(0, 0), (2, 1), (4, 3)]:
         sp = s.copy()
         sp[i, j] += eps
-        lp, _ = combined_loss(sp, t, labels, alpha=0.3)
+        lp = combined_loss(sp, t, labels, alpha=0.3)[0]
         sp[i, j] -= 2 * eps
-        lm, _ = combined_loss(sp, t, labels, alpha=0.3)
+        lm = combined_loss(sp, t, labels, alpha=0.3)[0]
         fd = (lp - lm) / (2 * eps)
         assert abs(fd - grad[i, j]) < 1e-6 * max(1.0, abs(fd))
 

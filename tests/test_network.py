@@ -10,7 +10,7 @@ from rmtkd.network import (Checkpoint, DenseLayer, Network, backward, forward,
                            init_network, load_checkpoint, param_count,
                            save_checkpoint, sgd_step)
 from rmtkd.reducer import analyse_layer
-from rmtkd.rng import make_rng, normal, rng_state_bytes
+from rmtkd.rng import make_rng, normal
 
 
 def _tiny_net():
@@ -370,9 +370,7 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
     net.layers[2].weights = net.layers[2].weights[:, :3]
     net.check_dims()
     net.history.append((0, 5, 3))
-    cp = Checkpoint(format_version=1, network=net,
-                    rng_state=rng_state_bytes(make_rng(9)),
-                    metrics={"val_accuracy": 0.87, "epochs": 4})
+    cp = Checkpoint(network=net, metrics={"val_accuracy": 0.87, "epochs": 4})
     p1 = tmp_path / "a.rmtk"
     p2 = tmp_path / "b.rmtk"
     p1.write_bytes(save_checkpoint(cp))
@@ -389,6 +387,17 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
         assert a.frozen == b.frozen and a.activation == b.activation
 
 
+def test_checkpoint_v2_layout():
+    # magic, version 2, header length, JSON header, then only the raw weights
+    net = init_network([3], 2, 2, _rnd_normal(7))
+    blob = save_checkpoint(Checkpoint(network=net, metrics={"val_accuracy": 0.5}))
+    assert blob[:4] == b"RMTK" and struct.unpack("<I", blob[4:8])[0] == 2
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    assert json.loads(blob[12:12 + hlen])["metrics"] == {"val_accuracy": 0.5}
+    assert blob[12 + hlen:] == b"".join(a.astype("<f8").tobytes()
+                                        for l in net.layers for a in (l.weights, l.bias))
+
+
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "bad.rmtk"
     p.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -398,11 +407,11 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_version_mismatch(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(7))
-    cp = Checkpoint(format_version=1, network=net, rng_state=b"", metrics={})
+    cp = Checkpoint(network=net, metrics={})
     p = tmp_path / "v.rmtk"
     p.write_bytes(save_checkpoint(cp))
     blob = bytearray(p.read_bytes())
-    blob[4] = 2  # bump the little-endian version field
+    blob[4] = 1  # a version 1 file, which still held the generator state
     p.write_bytes(bytes(blob))
     with pytest.raises(VersionMismatch):
         load_checkpoint(p)
@@ -410,7 +419,7 @@ def test_checkpoint_version_mismatch(tmp_path):
 
 def test_checkpoint_truncation(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(8))
-    cp = Checkpoint(format_version=1, network=net, rng_state=b"xyz", metrics={})
+    cp = Checkpoint(network=net, metrics={})
     p = tmp_path / "t.rmtk"
     p.write_bytes(save_checkpoint(cp))
     p.write_bytes(p.read_bytes()[:-9])
@@ -442,6 +451,11 @@ def _set(key, value, layer=None):
     (_set("in", 2.0, layer=0), "are not positive integers"),
     (_set("out", True, layer=0), "are not positive integers"),
     (_set("out", 0, layer=0), "are not positive integers"),
+    (_set("input_dim", 2.0), "input_dim and num_classes"),
+    (_set("num_classes", 2.0), "input_dim and num_classes"),
+    (_set("num_classes", True), "input_dim and num_classes"),
+    (_set("frozen", "no", layer=0), "must be true or false"),
+    (_set("has_bias", 1, layer=0), "must be true or false"),
     (_set("history", [[0, 3]]), "history"),
     (_set("history", 5), "history"),
     (_set("input_dim", 9), "expects input"),
@@ -450,7 +464,7 @@ def _set(key, value, layer=None):
 ])
 def test_checkpoint_malformed_header(tmp_path, edit, why):
     net = init_network([3], 2, 2, _rnd_normal(8))
-    cp = Checkpoint(format_version=1, network=net, rng_state=b"xyz", metrics={})
+    cp = Checkpoint(network=net, metrics={})
     p = tmp_path / "h.rmtk"
     p.write_bytes(_with_header(save_checkpoint(cp), edit))
     with pytest.raises(CorruptFile) as ei:
@@ -460,7 +474,7 @@ def test_checkpoint_malformed_header(tmp_path, edit, why):
 
 def test_checkpoint_trailing_bytes(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(8))
-    cp = Checkpoint(format_version=1, network=net, rng_state=b"xyz", metrics={})
+    cp = Checkpoint(network=net, metrics={})
     p = tmp_path / "x.rmtk"
     blob = save_checkpoint(cp)
     p.write_bytes(_with_header(blob, lambda h: h))

@@ -40,14 +40,6 @@ def test_covariance_matches_triple_loop_oracle():
     assert np.max(np.abs(cov - cov.T)) < 1e-12
 
 
-def test_covariance_centering_flag():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 50)) + 5.0
-    centered = compute_covariance(x, center=True)
-    xm = x - x.mean(axis=1, keepdims=True)
-    assert np.allclose(centered, xm @ xm.T / 50)
-
-
 def test_covariance_rejects_nonfinite():
     x = np.ones((2, 3))
     x[0, 1] = np.nan
