@@ -266,7 +266,8 @@ def cmd_spectrum(cfg, layer_ordinal):
         raise ConfigError(str(e)) from e
     _, _, cal_part = _split_parts(cfg, build_task(cfg))
     spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_id,
-                                                    cfg.plan.quantile)
+                                                    cfg.plan.quantile,
+                                                    vectors=False)
     model_json = model.to_json_dict()
     model_json["k"] = partition.k
     staged = {

@@ -7,6 +7,7 @@ bit-for-bit from its parameters.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,6 +260,9 @@ def load_csv(path, label_column="label"):
     if not lines:
         raise SchemaError(f"{path}: empty file")
     header = lines[0].split(",")
+    repeated = sorted(h for h, count in Counter(header).items() if count > 1)
+    if repeated:
+        raise SchemaError(f"{path}: repeated column names {repeated}")
     if label_column not in header:
         raise SchemaError(f"{path}: no column named {label_column!r}")
     features = [h for h in header if h != label_column]

@@ -79,8 +79,11 @@ def build_projection(partition, layer_id, min_k=1):
     Rows are the spike eigenvectors in descending eigenvalue order.  When
     0 < k_spikes < min_k the next-largest bulk eigenvectors fill the
     remaining rows (the spectrum is descending, so spikes occupy a prefix).
-    Raises NoSpikes when the partition has no spikes at all.
+    Raises NoSpikes when the partition has no spikes at all, and
+    InvalidInput when it carries no eigenvectors.
     """
+    if partition.eigenvectors is None:
+        raise InvalidInput("partition has no eigenvectors to project onto")
     if partition.k == 0:
         raise NoSpikes("no eigenvalues above the bulk edge")
     d = partition.eigenvectors.shape[1]
@@ -128,14 +131,15 @@ def _hidden_layer_index(net, ordinal):
     return hidden[ordinal]
 
 
-def analyse_layer(net, cal_x, layer_id, quantile):
+def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
     """Fit the noise bulk of one layer's calibration spectrum.
 
     ``layer_id`` indexes ``net.layers`` and must name a non-frozen hidden
     layer; ``cal_x`` is the dim x n calibration batch.  Captures the layer's
     activations, eigendecomposes their covariance, fits sigma2 from the
     ``quantile`` init and splits the spectrum at the fitted bulk edge.
-    Returns ``(spectrum, model, partition, fit)``.
+    Returns ``(spectrum, model, partition, fit)``.  With ``vectors=False``
+    only eigenvalues are computed and the partition carries no vectors.
 
     Raises DegenerateSpectrum, naming the layer, when the spectrum cannot
     be fitted: the quantile init is round-off (too many zero eigenvalues,
@@ -145,7 +149,8 @@ def analyse_layer(net, cal_x, layer_id, quantile):
         raise InvalidInput(f"layer {layer_id} is not a reducible hidden layer")
     _, acts = forward(net, cal_x)
     x = acts[layer_id + 1]
-    spectrum, vecs = eig_sym(compute_covariance(x), n_samples=x.shape[1])
+    spectrum, vecs = eig_sym(compute_covariance(x), n_samples=x.shape[1],
+                             vectors=vectors)
     s2_init = init_sigma2(spectrum, quantile)
     floor = SYM_TOL * spectrum.clamped[0]
     if s2_init <= floor:

@@ -113,10 +113,10 @@ class SpectralPartition:
 
     spike_indices: list
     bulk_indices: list
-    spike_eigenvectors: np.ndarray
+    spike_eigenvectors: np.ndarray  # None for a values-only partition
     k: int
     eigenvalues: np.ndarray  # full, descending
-    eigenvectors: np.ndarray  # full d x d, rows paired with eigenvalues
+    eigenvectors: np.ndarray  # full d x d, rows paired with eigenvalues; or None
 
 
 def spectrum_to_csv(spectrum):
@@ -137,19 +137,24 @@ def compute_covariance(x):
         raise InvalidInput("expected a d x n matrix with n >= 2")
     if not np.all(np.isfinite(a)):
         raise InvalidInput("non-finite entry in activation matrix")
-    n = a.shape[1]
-    cov = (a @ a.T) / n
-    # Exact symmetry despite floating-point summation order.
-    return (cov + cov.T) / 2.0
+    cov = a @ a.T
+    cov /= a.shape[1]
+    # NumPy computes a @ a.T of a contiguous a with a symmetric rank-k update,
+    # which is exactly symmetric; a strided a takes a general product, whose
+    # two triangles may round differently.
+    return cov if np.array_equal(cov, cov.T) else (cov + cov.T) / 2.0
 
 
-def eig_sym(matrix, n_samples=None):
+def eig_sym(matrix, n_samples=None, vectors=True):
     """Symmetric eigendecomposition with a deterministic sign convention.
 
     Returns ``(Spectrum, eigenvectors)`` with eigenvalues sorted descending
     and eigenvectors as rows, row i paired with eigenvalue i.  Each row is
     flipped so that its component of largest magnitude (first such index on
-    ties) is positive, making repeated runs bit-identical.
+    ties) is positive, making repeated runs bit-identical.  With
+    ``vectors=False`` only the eigenvalues are computed (LAPACK's cheaper
+    values-only path, whose eigenvalues may differ from the full
+    decomposition's in the last bits) and the second item is None.
 
     ``n_samples`` sets the Spectrum's sample count (for the aspect ratio
     q = d/n); it defaults to d when the matrix does not come from a
@@ -158,19 +163,26 @@ def eig_sym(matrix, n_samples=None):
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput("expected a square matrix")
-    if np.max(np.abs(a - a.T)) > SYM_TOL:
-        raise InvalidInput("matrix is not symmetric within tolerance")
+    # An exactly symmetric finite matrix already equals (a + a.T) / 2.
+    if not np.array_equal(a, a.T):
+        if np.max(np.abs(a - a.T)) > SYM_TOL:
+            raise InvalidInput("matrix is not symmetric within tolerance")
+        a = (a + a.T) / 2.0
     try:
-        w, v = np.linalg.eigh((a + a.T) / 2.0)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - rare in LAPACK
+        w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"eigendecomposition failed: {e}") from e
+    if not np.all(np.isfinite(w)):  # an inf entry, e.g. an overflowed covariance
+        raise NumericalFailure("eigendecomposition gave non-finite eigenvalues")
     order = np.argsort(w)[::-1]
     w = w[order]
-    rows = v[:, order].T.copy()
-    for i in range(rows.shape[0]):
-        j = int(np.argmax(np.abs(rows[i])))
-        if rows[i, j] < 0:
-            rows[i] = -rows[i]
+    rows = None
+    if vectors:
+        rows = v[:, order].T.copy()
+        for i in range(rows.shape[0]):
+            j = int(np.argmax(np.abs(rows[i])))
+            if rows[i, j] < 0:
+                rows[i] = -rows[i]
     d = a.shape[0]
     n = d if n_samples is None else int(n_samples)
     return Spectrum(eigenvalues=w, d=d, n=n), rows
@@ -327,19 +339,22 @@ def classify(spectrum, eigenvectors, model):
 
     Spikes are eigenvalues strictly greater than the model's lambda_plus
     (ties count as bulk -- conservative on retained directions).  k may be
-    0; the compression loop treats that as a skip.
+    0; the compression loop treats that as a skip.  ``eigenvectors`` may be
+    None (a values-only spectrum); the partition then carries no vectors.
     """
-    eigenvectors = np.asarray(eigenvectors, dtype=np.float64)
     lam = np.asarray(spectrum.eigenvalues, dtype=np.float64)
-    if eigenvectors.shape != (lam.size, lam.size):
-        raise InvalidInput("eigenvector matrix shape does not match spectrum")
+    if eigenvectors is not None:
+        eigenvectors = np.asarray(eigenvectors, dtype=np.float64)
+        if eigenvectors.shape != (lam.size, lam.size):
+            raise InvalidInput("eigenvector matrix shape does not match spectrum")
     spike_mask = lam > model.lambda_plus
     spike_indices = [int(i) for i in np.nonzero(spike_mask)[0]]
     bulk_indices = [int(i) for i in np.nonzero(~spike_mask)[0]]
     return SpectralPartition(
         spike_indices=spike_indices,
         bulk_indices=bulk_indices,
-        spike_eigenvectors=eigenvectors[spike_indices].copy(),
+        spike_eigenvectors=(None if eigenvectors is None
+                            else eigenvectors[spike_indices].copy()),
         k=len(spike_indices),
         eigenvalues=lam,
         eigenvectors=eigenvectors,

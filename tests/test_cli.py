@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmtkd
 from rmtkd import cli
@@ -303,6 +305,9 @@ def test_train_csv_task(tmp_path):
     data_path.write_text("label\n0\n1\n")  # no feature column
     assert main(["train", "--config", _write_config(tmp_path, raw),
                  "--out", str(tmp_path / "labels-only")]) == 1
+    data_path.write_text("a,a,label\n1,2,x\n3,4,y\n")  # repeated name
+    assert main(["train", "--config", _write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "repeated")]) == 1
 
 
 # ----------------------------------------------------------- spectrum output
@@ -330,6 +335,72 @@ def test_spectrum_outputs(tmp_path):
     assert 0 <= model["k"] <= 32
     # the eigenvalue file and the spike count must agree on the bulk edge
     assert model["k"] == sum(v > model["lambda_plus"] for v in vals)
+
+
+def test_spectrum_agrees_with_compress_first_step(tmp_path):
+    # spectrum computes eigenvalues only; compress analyses the same warmed-up
+    # net on the same calibration split with eigenvectors.  k must be equal
+    # and sigma2 equal up to the last bits of the two eigensolvers.
+    raw = {
+        "task": {"kind": "planted", "input_dim": 32, "intrinsic_dim": 8,
+                 "num_classes": 10, "n_samples": 5000, "noise_sigma": 0.3},
+        "widths": [64, 64],
+        "distill": {"max_epochs": 40, "accuracy_threshold": 0.95},
+        "plan": {"quantile": 0.7, "layer_order": [0, 1]},
+        "seed": 0,
+        "output_dir": str(tmp_path / "spectrum"),
+    }
+    cfgp = _write_config(tmp_path, raw)
+    assert main(["train", "--config", cfgp]) == 0
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 0
+    out_c = tmp_path / "compress"
+    assert main(["compress", "--config", cfgp, "--out", str(out_c)]) == 0
+
+    model = json.loads((tmp_path / "spectrum" / "mp_model.json").read_text())
+    header, row0 = (out_c / "history.csv").read_text().split("\n")[:2]
+    step = dict(zip(header.split(","), row0.split(",")))
+    assert step["layer_id"] == "0"
+    assert model["k"] == int(step["k"])
+    sigma2 = float(step["sigma2"])
+    assert abs(model["sigma2"] - sigma2) <= 1e-12 * sigma2
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A tiny ``train`` run: (config path, output dir, checkpoint bytes)."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = tmp / "run"
+    cfgp = _write_config(tmp, _base_config(out))
+    assert main(["train", "--config", cfgp]) == 0
+    return cfgp, out, (out / "checkpoint.rmtk").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_spectrum_on_damaged_checkpoint_exits_typed(trained_checkpoint, data):
+    # A bit-flipped, overwritten or truncated checkpoint ends in an exit code,
+    # never in a traceback or in a NaN fit.  About half the positions fall in
+    # the JSON header.
+    cfgp, out, blob = trained_checkpoint
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    pos = data.draw(st.one_of(st.integers(0, header_end - 1),
+                              st.integers(0, len(blob) - 1)), label="pos")
+    kind = data.draw(st.sampled_from(["flip", "overwrite", "truncate"]), label="kind")
+    damaged = bytearray(blob)
+    if kind == "flip":
+        damaged[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    elif kind == "overwrite":
+        patch = data.draw(st.binary(min_size=1, max_size=16), label="patch")
+        damaged[pos:pos + len(patch)] = patch
+    else:
+        del damaged[pos:]
+    (out / "checkpoint.rmtk").write_bytes(bytes(damaged))
+    rc = main(["spectrum", "--config", cfgp, "--layer", "0"])
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        model = json.loads((out / "mp_model.json").read_text())
+        assert all(np.isfinite(v) for v in model.values())
 
 
 def test_spectrum_bad_layer_ordinal(tmp_path):

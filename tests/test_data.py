@@ -458,3 +458,11 @@ def test_csv_schema_errors(tmp_path):
     with pytest.raises(SchemaError) as ei:
         load_csv(p)  # no feature columns
     assert "no feature columns" in str(ei.value)
+    p.write_text("a,a,label\n1,2,x\n3,4,y\n")
+    with pytest.raises(SchemaError) as ei:
+        load_csv(p)  # repeated feature name
+    assert "'a'" in str(ei.value)
+    p.write_text("f,label,label\n1,x,y\n2,y,x\n")
+    with pytest.raises(SchemaError) as ei:
+        load_csv(p)  # repeated label column
+    assert "'label'" in str(ei.value)

@@ -8,10 +8,10 @@ from rmtkd.errors import AlreadyProjected, InvalidInput, NoSpikes
 from rmtkd.network import (DenseLayer, Network, forward, init_network,
                            param_count)
 from rmtkd.reducer import (CompressionPlan, Projection, _hidden_layer_index,
-                           apply_projection, build_projection, compress_step,
+                           analyse_layer, apply_projection, build_projection, compress_step,
                            quantile_ablation, run_loop)
 from rmtkd.rng import make_rng, normal
-from rmtkd.spectral import (MPModel, SpectralPartition, classify,
+from rmtkd.spectral import (MPModel, SpectralPartition, Spectrum, classify,
                             compute_covariance, eig_sym, fit_sigma2,
                             init_sigma2)
 
@@ -91,6 +91,15 @@ def test_build_projection_spike_rows():
 def test_build_projection_no_spikes():
     with pytest.raises(NoSpikes):
         build_projection(_toy_partition(0), layer_id=0)
+
+
+def test_build_projection_rejects_values_only_partition():
+    lam = np.arange(6, 0, -1).astype(np.float64)
+    spec = Spectrum(eigenvalues=lam, d=6, n=24)
+    part = classify(spec, None, MPModel(sigma2=1.0, q=spec.q))
+    assert part.k > 0
+    with pytest.raises(InvalidInput):
+        build_projection(part, layer_id=0)
 
 
 def test_build_projection_min_k_pads_with_bulk():
@@ -196,6 +205,21 @@ def test_hidden_layer_index_skips_frozen():
     assert _hidden_layer_index(out, 1) == 2
     with pytest.raises(InvalidInput):
         _hidden_layer_index(out, 2)
+
+
+# -------------------------------------------------------------- analyse_layer
+
+def test_analyse_layer_values_only_keeps_k():
+    parts = _task_parts(seed=33)
+    net, _ = _warmed_net(parts, seed=34)
+    cal_x = parts[2].x
+    spec, model, part, _ = analyse_layer(net, cal_x, 0, 0.7)
+    spec_v, model_v, part_v, _ = analyse_layer(net, cal_x, 0, 0.7, vectors=False)
+    assert part_v.eigenvectors is None and part.eigenvectors.shape == (32, 32)
+    assert (part_v.k, part_v.spike_indices) == (part.k, part.spike_indices)
+    assert abs(model_v.sigma2 - model.sigma2) <= 1e-12 * model.sigma2
+    scale = spec.eigenvalues[0]
+    assert np.max(np.abs(spec_v.eigenvalues - spec.eigenvalues)) <= 1e-12 * scale
 
 
 # -------------------------------------------------------------- compress_step

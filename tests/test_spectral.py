@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rmtkd.data import sample_noise_matrix, sample_spiked
-from rmtkd.errors import DegenerateSpectrum, InvalidInput
+from rmtkd.errors import DegenerateSpectrum, InvalidInput, NumericalFailure
 from rmtkd.spectral import (ActivationMatrix, MPModel, Spectrum, bbp_threshold,
                             classify, compute_covariance, eig_sym, fit_sigma2,
                             init_sigma2, mp_bulk_edges, mp_density,
@@ -96,6 +96,79 @@ def test_eig_sym_rows_orthonormal():
         a = (a + a.T) / 2
         _, vecs = eig_sym(a)
         assert np.max(np.abs(vecs @ vecs.T - np.eye(d))) < 1e-10
+
+
+def _symmetric(d, seed):
+    a = np.random.default_rng(seed).normal(size=(d, d))
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 64, 513])
+def test_eig_sym_values_only_matches_full(d):
+    a = _symmetric(d, 14 + d)
+    spec, vecs = eig_sym(a, n_samples=3 * d, vectors=False)
+    assert vecs is None
+    full, _ = eig_sym(a, n_samples=3 * d)
+    assert (spec.d, spec.n) == (full.d, full.n)
+    lam = spec.eigenvalues
+    assert np.all(lam[:-1] >= lam[1:])
+    scale = np.max(np.abs(full.eigenvalues))
+    assert np.max(np.abs(lam - full.eigenvalues)) <= 1e-12 * scale
+
+
+def test_eig_sym_exactly_symmetric_matches_eigh_bits():
+    a = _symmetric(40, 15)
+    assert np.array_equal(a, a.T)
+    spec, vecs = eig_sym(a)
+    w, v = np.linalg.eigh((a + a.T) / 2.0)
+    order = np.argsort(w)[::-1]
+    rows = v[:, order].T.copy()
+    for i in range(rows.shape[0]):
+        j = int(np.argmax(np.abs(rows[i])))
+        if rows[i, j] < 0:
+            rows[i] = -rows[i]
+    assert np.array_equal(spec.eigenvalues, w[order])
+    assert np.array_equal(vecs, rows)
+
+
+def test_eig_sym_near_symmetric_is_symmetrized():
+    a = _symmetric(30, 16)
+    near = a.copy()
+    near[3, 7] += 1e-12
+    assert not np.array_equal(near, near.T)
+    for vectors in (True, False):
+        spec, vecs = eig_sym(near, vectors=vectors)
+        ref_spec, ref_vecs = eig_sym((near + near.T) / 2.0, vectors=vectors)
+        assert np.array_equal(spec.eigenvalues, ref_spec.eigenvalues)
+        assert np.array_equal(vecs, ref_vecs)
+    far = a.copy()
+    far[3, 7] += 1e-6
+    for vectors in (True, False):
+        with pytest.raises(InvalidInput):
+            eig_sym(far, vectors=vectors)
+
+
+def test_eig_sym_nonfinite_is_numerical_failure():
+    # finite activations whose covariance overflows in one row
+    x = np.ones((3, 4))
+    x[0] = 1e160
+    with np.errstate(over="ignore"):
+        cov = compute_covariance(x)
+    assert np.isinf(cov[0, 0]) and np.isfinite(cov[1, 1])
+    for vectors in (True, False):
+        with pytest.raises(NumericalFailure):
+            eig_sym(cov, vectors=vectors)
+        with pytest.raises(NumericalFailure):
+            eig_sym(np.full((3, 3), np.nan), vectors=vectors)
+
+
+def test_covariance_is_exactly_symmetric():
+    x = np.random.default_rng(17).normal(size=(70, 150))
+    cov = compute_covariance(x)
+    assert np.array_equal(cov, cov.T)
+    # a strided view takes the general gemm path; the result is still exact
+    strided = compute_covariance(np.random.default_rng(18).normal(size=(40, 300))[:, ::2])
+    assert np.array_equal(strided, strided.T)
 
 
 # ------------------------------------------------------------- closed forms
@@ -292,6 +365,18 @@ def test_classify_ties_are_bulk():
     spec = Spectrum(eigenvalues=lam, d=2, n=8)
     part = classify(spec, np.eye(2), MPModel(sigma2=1.0, q=0.25))
     assert part.k == 0  # equality with lambda_plus stays in the bulk
+
+
+def test_classify_without_eigenvectors():
+    lam = np.array([3.0, 2.5, 2.0, 1.0])
+    spec = Spectrum(eigenvalues=lam, d=4, n=16)
+    model = MPModel(sigma2=1.0, q=0.25)
+    full = classify(spec, np.eye(4), model)
+    part = classify(spec, None, model)
+    assert part.eigenvectors is None and part.spike_eigenvectors is None
+    assert (part.k, part.spike_indices, part.bulk_indices) == (
+        full.k, full.spike_indices, full.bulk_indices)
+    assert part.k == 2
 
 
 def test_classify_three_planted_spikes_monte_carlo():
