@@ -4,8 +4,8 @@ Train a small dense network, fit the Marchenko-Pastur law to the eigenvalue
 spectrum of its activation covariance on a calibration subset, keep only the
 eigen-directions that rise above the noise bulk, insert that projection as a
 frozen layer (resizing the downstream layer), and fine-tune against a frozen
-snapshot of the model itself.  Repeat per layer until a reduction target,
-accuracy floor, or iteration cap fires.
+snapshot of the model itself.  Repeat for each planned layer, stopping early
+(with rollback) if accuracy falls below a floor.
 """
 
 from .data import (Dataset, SplitSpec, load_csv, planted_subspace_task,

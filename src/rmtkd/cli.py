@@ -45,11 +45,10 @@ _TASK_KEYS = {
 _PLANTED_DEFAULTS = {"input_dim": 32, "intrinsic_dim": 8, "num_classes": 10,
                      "n_samples": 5000, "noise_sigma": 0.3, "margin": 0.3}
 _DISTILL_KEYS = {"alpha", "lr", "momentum", "batch_size", "max_epochs",
-                 "accuracy_threshold", "epsilon_prob"}
-_PLAN_KEYS = {"layer_order", "quantile", "min_k", "accuracy_floor",
-              "max_iterations", "target_reduction"}
+                 "accuracy_threshold"}
+_PLAN_KEYS = {"layer_order", "quantile", "accuracy_floor"}
 _SPLIT_KEYS = {"train_fraction", "calibration_fraction"}
-_INT_KEYS = {"batch_size", "max_epochs", "min_k", "max_iterations"}  # else numbers
+_INT_KEYS = {"batch_size", "max_epochs"}  # else numbers
 _TOP_KEYS = {"task", "widths", "distill", "plan", "split", "seed", "output_dir"}
 
 
@@ -80,8 +79,12 @@ def _is_int(value):
 
 
 def _is_number(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _check_planted(task):
@@ -128,11 +131,14 @@ def validate_config(raw, out_override=None, seed_override=None):
     task = raw["task"]
     if not isinstance(task, dict) or "kind" not in task:
         raise ConfigError("task must be an object with a 'kind'")
-    if task["kind"] not in _TASK_KEYS:
+    if not isinstance(task["kind"], str) or task["kind"] not in _TASK_KEYS:
         raise ConfigError(f"unknown task kind {task['kind']!r}")
     _check_keys("task", task, _TASK_KEYS[task["kind"]])
-    if task["kind"] == "csv" and "path" not in task:
-        raise ConfigError("csv task needs a 'path'")
+    if task["kind"] == "csv":
+        if not isinstance(task.get("path"), str):
+            raise ConfigError("csv task needs a 'path' string")
+        if not isinstance(task.get("label_column", "label"), str):
+            raise ConfigError(f"task.label_column must be a string, got {task['label_column']!r}")
     if task["kind"] == "planted":
         _check_planted(task)
 
@@ -169,8 +175,9 @@ def validate_config(raw, out_override=None, seed_override=None):
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
     output_dir = out_override or raw.get("output_dir")
-    if not output_dir:
-        raise ConfigError("missing output_dir (or pass --out)")
+    if not output_dir or not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a non-empty string (or pass --out), "
+                          f"got {output_dir!r}")
     return RunConfig(task=task, widths=widths, distill=distill, plan=plan,
                      split_spec=split_spec, seed=int(seed), output_dir=output_dir)
 

@@ -13,6 +13,9 @@ import numpy as np
 from .errors import InvalidInput
 from .network import backward, forward, sgd_step
 
+# Floor on student probabilities before a log, in the CE and KL terms.
+EPSILON_PROB = 1e-12
+
 
 @dataclass
 class DistillConfig:
@@ -22,7 +25,6 @@ class DistillConfig:
     batch_size: int = 64
     max_epochs: int = 40
     accuracy_threshold: float = 0.95
-    epsilon_prob: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -37,8 +39,6 @@ class DistillConfig:
             raise InvalidInput("max_epochs must be >= 1")
         if not 0.0 <= self.accuracy_threshold <= 1.0:
             raise InvalidInput("accuracy_threshold must lie in [0, 1]")
-        if self.epsilon_prob <= 0:
-            raise InvalidInput("epsilon_prob must be positive")
 
 
 def softmax(logits):
@@ -47,19 +47,19 @@ def softmax(logits):
     return e / np.sum(e, axis=0, keepdims=True)
 
 
-def _kl_terms(p_old, p_new, epsilon_prob):
-    """Elementwise p_old * (log p_old - log max(p_new, epsilon_prob)), 0 where p_old = 0."""
-    qf = np.maximum(p_new, epsilon_prob)
+def _kl_terms(p_old, p_new):
+    """Elementwise p_old * (log p_old - log max(p_new, EPSILON_PROB)), 0 where p_old = 0."""
+    qf = np.maximum(p_new, EPSILON_PROB)
     mask = p_old > 0
     terms = np.zeros_like(p_old)
     terms[mask] = p_old[mask] * (np.log(p_old[mask]) - np.log(qf[mask]))
     return terms
 
 
-def kl_divergence(p_old, p_new, epsilon_prob=1e-12):
+def kl_divergence(p_old, p_new):
     """KL(p_old || p_new) = sum_i p_old(i) * log(p_old(i) / p_new(i)).
 
-    p_new is floored at ``epsilon_prob`` before the log; terms with
+    p_new is floored at EPSILON_PROB before the log; terms with
     p_old(i) = 0 contribute 0.
     """
     p = np.asarray(p_old, dtype=np.float64)
@@ -72,10 +72,10 @@ def kl_divergence(p_old, p_new, epsilon_prob=1e-12):
         raise InvalidInput("negative probability entry")
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise InvalidInput("distributions must sum to 1")
-    return float(_kl_terms(p, q, epsilon_prob).sum())
+    return float(_kl_terms(p, q).sum())
 
 
-def combined_loss(logits_new, logits_old, labels, alpha, epsilon_prob=1e-12):
+def combined_loss(logits_new, logits_old, labels, alpha):
     """L = alpha * CE + (1 - alpha) * KL(p_old || p_new), batch mean.
 
     Returns ``(loss, grad_at_logits_new, ce, kl)``: the loss, its gradient
@@ -97,11 +97,11 @@ def combined_loss(logits_new, logits_old, labels, alpha, epsilon_prob=1e-12):
     b = new.shape[1]
     cols = np.arange(b)
     p_new = softmax(new)
-    ce = float(-np.mean(np.log(np.maximum(p_new[labels, cols], epsilon_prob))))
+    ce = float(-np.mean(np.log(np.maximum(p_new[labels, cols], EPSILON_PROB))))
     kl = 0.0
     if old is not None:
         p_old = softmax(old)
-        kl = float(_kl_terms(p_old, p_new, epsilon_prob).sum() / b)
+        kl = float(_kl_terms(p_old, p_new).sum() / b)
     loss = alpha * ce + (1.0 - alpha) * kl
     onehot = np.zeros_like(p_new)
     onehot[labels, cols] = 1.0
@@ -162,8 +162,7 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
             logits_old = None
             if teacher is not None:
                 logits_old, _ = forward(teacher, xb)
-            loss, grad, ce, kl = combined_loss(logits, logits_old, yb, alpha,
-                                               cfg.epsilon_prob)
+            loss, grad, ce, kl = combined_loss(logits, logits_old, yb, alpha)
             grads = backward(net, acts, grad)
             _, state = sgd_step(net, grads, cfg.lr, cfg.momentum, state)
             loss_sum += loss

@@ -275,6 +275,9 @@ def load_checkpoint(path):
                     raise CorruptFile(f"{path}: truncated bias")
                 off += out * 8
                 bias = b
+            for name, arr in (("weights", w), ("bias", bias)):
+                if arr is not None and not np.all(np.isfinite(arr)):
+                    raise CorruptFile(f"{path}: layer {len(layers)} {name} are not all finite")
             layers.append(DenseLayer(weights=w, bias=bias,
                                      activation=spec["activation"], frozen=spec["frozen"]))
         if off != len(blob):

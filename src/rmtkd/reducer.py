@@ -4,9 +4,8 @@ One compression step: snapshot the current model as teacher, capture
 calibration activations at the target layer, fit the noise bulk of their
 covariance spectrum, keep the eigen-directions above the bulk edge, insert
 that projection as a frozen layer, warm-start the downstream layer at the
-reduced width, and fine-tune against the teacher.  The loop walks layers
-shallow-to-deep and stops on a reduction target, an accuracy floor
-(with rollback), or an iteration cap.
+reduced width, and fine-tune against the teacher.  The loop walks the
+planned layers in order and stops early on an accuracy floor (with rollback).
 """
 
 from dataclasses import dataclass, replace
@@ -43,20 +42,11 @@ class Projection:
 class CompressionPlan:
     layer_order: list  # hidden-layer ordinals to reduce, shallow to deep
     quantile: float = 0.5
-    min_k: int = 1
     accuracy_floor: float = 0.0
-    max_iterations: int = 16
-    target_reduction: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.quantile <= 1.0:
             raise InvalidInput("quantile must lie in [0, 1]")
-        if self.min_k < 1:
-            raise InvalidInput("min_k must be >= 1")
-        if not 0.0 <= self.target_reduction <= 1.0:
-            raise InvalidInput("target_reduction must lie in [0, 1]")
-        if self.max_iterations < 0:
-            raise InvalidInput("max_iterations must be >= 0")
 
 
 @dataclass
@@ -73,25 +63,21 @@ class IterationRecord:
     params_after: int
 
 
-def build_projection(partition, layer_id, min_k=1):
-    """Projection onto the spike subspace, padded to ``min_k`` if needed.
+def build_projection(partition, layer_id):
+    """Projection onto the spike subspace.
 
-    Rows are the spike eigenvectors in descending eigenvalue order.  When
-    0 < k_spikes < min_k the next-largest bulk eigenvectors fill the
-    remaining rows (the spectrum is descending, so spikes occupy a prefix).
-    Raises NoSpikes when the partition has no spikes at all, and
-    InvalidInput when it carries no eigenvectors.
+    Rows are the spike eigenvectors in descending eigenvalue order.  Raises
+    NoSpikes when the partition has no spikes at all, and InvalidInput when
+    it carries no eigenvectors.
     """
-    if partition.eigenvectors is None:
+    if partition.spike_eigenvectors is None:
         raise InvalidInput("partition has no eigenvectors to project onto")
     if partition.k == 0:
         raise NoSpikes("no eigenvalues above the bulk edge")
-    d = partition.eigenvectors.shape[1]
-    k = min(max(partition.k, min_k), d)
     return Projection(
-        matrix=partition.eigenvectors[:k].copy(),
+        matrix=partition.spike_eigenvectors,
         layer_id=layer_id,
-        retained_eigenvalues=[float(v) for v in partition.eigenvalues[:k]],
+        retained_eigenvalues=[float(v) for v in partition.eigenvalues[:partition.k]],
     )
 
 
@@ -177,11 +163,10 @@ def check_calibration_rank(widths, n, plan, quantiles):
     uncentered, so its rank is at most n).  A quantile q with
     q (d - 1) <= d - n - 1, i.e. q <= (d - n - 1) / (d - 1), puts the
     sigma2 init between them, so :func:`analyse_layer` would fail after
-    all the training before it.  Checks every layer the loop may reach,
-    ``plan.layer_order[:plan.max_iterations]``, at every quantile, and
-    raises DegenerateSpectrum naming the first such pair.
+    all the training before it.  Checks every planned layer at every
+    quantile, and raises DegenerateSpectrum naming the first such pair.
     """
-    for o in plan.layer_order[:plan.max_iterations]:
+    for o in plan.layer_order:
         d = widths[o]
         for q in quantiles:
             if n < d and q * (d - 1) <= d - n - 1:
@@ -211,7 +196,7 @@ def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
 
     d = spectrum.d
     try:
-        proj = build_projection(partition, layer_id, plan.min_k)
+        proj = build_projection(partition, layer_id)
     except NoSpikes:
         record = IterationRecord(
             iteration=iteration, layer_id=layer_id, d=d, k=d,
@@ -237,33 +222,22 @@ def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
 
 
 def run_loop(net, data, plan, cfg, rng):
-    """Iterate compress_step over the plan's layers, shallow to deep.
+    """Iterate compress_step over ``plan.layer_order``, one step per ordinal.
 
-    Stops when the trainable-parameter reduction (vs loop entry) reaches
-    plan.target_reduction, when a step's fine-tuned validation accuracy
-    falls below plan.accuracy_floor (the step is rolled back to its
-    pre-step state), or after plan.max_iterations attempted steps.
-    Returns ``(net, history)``; rolled-back and skipped attempts stay in
-    the history for audit.
+    Stops after the last planned layer, or at the first step whose
+    fine-tuned validation accuracy falls below plan.accuracy_floor; that
+    step is rolled back (compress_step never mutates its input, so the
+    pre-step network is simply kept).  Returns ``(net, history)``;
+    rolled-back and skipped attempts stay in the history for audit.
     """
-    base_params, _ = param_count(net)
     history = []
-    steps = 0
-    for ordinal in plan.layer_order:
-        trainable, _ = param_count(net)
-        if 1.0 - trainable / base_params >= plan.target_reduction:
-            break
-        if steps >= plan.max_iterations:
-            break
+    for step, ordinal in enumerate(plan.layer_order):
         layer_id = _hidden_layer_index(net, ordinal)
-        pre_step = net.copy()
         new_net, record = compress_step(net, data, plan, cfg, layer_id, rng,
-                                        iteration=steps)
-        steps += 1
+                                        iteration=step)
         history.append(record)
         if record.k < record.d and record.acc_after_finetune < plan.accuracy_floor:
-            net = pre_step  # rollback: pre-step weights, history, and widths
-            break
+            break  # rollback: keep the pre-step network
         net = new_net
     return net, history
 

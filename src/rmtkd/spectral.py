@@ -106,9 +106,7 @@ class SpectralPartition:
     """Bulk/spike split of a spectrum.
 
     ``spike_eigenvectors`` has orthonormal rows, row i paired with
-    spike_indices[i].  The full eigen-data is carried along so downstream
-    consumers can pad a projection with leading bulk directions when a
-    minimum width is requested.
+    spike_indices[i].
     """
 
     spike_indices: list
@@ -116,7 +114,6 @@ class SpectralPartition:
     spike_eigenvectors: np.ndarray  # None for a values-only partition
     k: int
     eigenvalues: np.ndarray  # full, descending
-    eigenvectors: np.ndarray  # full d x d, rows paired with eigenvalues; or None
 
 
 def spectrum_to_csv(spectrum):
@@ -357,5 +354,4 @@ def classify(spectrum, eigenvectors, model):
                             else eigenvectors[spike_indices].copy()),
         k=len(spike_indices),
         eigenvalues=lam,
-        eigenvectors=eigenvectors,
     )

@@ -184,7 +184,66 @@ def test_parse_grid():
 
 # ---------------------------------------------------------------- exit codes
 
-def test_exit_2_on_config_problems(tmp_path):
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+# values a valid config may hold, and an int too large for a float
+_NEAR_VALID = st.sampled_from([0, 1, 0.5, 10**400, "planted", "csv", "d.csv"])
+_REMOVED_KEYS = {"plan": {"min_k", "max_iterations", "target_reduction"},
+                 "distill": {"epsilon_prob"}}
+_KEY_PATHS = [(key,) for key in sorted(cli._TOP_KEYS)] + [
+    (section, key)
+    for section, keys in (("task", cli._TASK_KEYS["planted"] | cli._TASK_KEYS["csv"]),
+                          ("distill", cli._DISTILL_KEYS | _REMOVED_KEYS["distill"]),
+                          ("plan", cli._PLAN_KEYS | _REMOVED_KEYS["plan"]),
+                          ("split", cli._SPLIT_KEYS))
+    for key in sorted(keys)
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["planted", "csv"]),
+       edits=st.lists(st.tuples(st.sampled_from(_KEY_PATHS), _NEAR_VALID | _JSON),
+                      min_size=1, max_size=2))
+def test_validate_config_random_values_typed(kind, edits):
+    # any JSON value under any key, removed keys included, is a RunConfig
+    # or a ConfigError
+    raw = _base_config("out")
+    if kind == "csv":
+        raw["task"] = {"kind": "csv", "path": "d.csv"}
+    for path, value in edits:
+        target = raw if len(path) == 1 else raw.get(path[0])
+        if isinstance(target, dict):  # an earlier edit may replace a section
+            target[path[-1]] = value
+    try:
+        cfg = validate_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, cli.RunConfig) and isinstance(cfg.output_dir, str)
+    assert all(isinstance(cfg.task.get(key, ""), str)
+               for key in ("kind", "path", "label_column"))
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for section, key in re.findall(r"^\| ([a-z]+(?: \([a-z]+\))?) \| `(\w+)` \|",
+                                   readme, flags=re.MULTILINE):
+        table.setdefault(section, set()).add(key)
+    assert table == {
+        "top": cli._TOP_KEYS,
+        "task (planted)": cli._TASK_KEYS["planted"],
+        "task (csv)": cli._TASK_KEYS["csv"],
+        "distill": cli._DISTILL_KEYS,
+        "plan": cli._PLAN_KEYS,
+        "split": cli._SPLIT_KEYS,
+    }
+
+
+def test_exit_2_on_config_problems(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
 
     bad = tmp_path / "bad.json"
@@ -203,10 +262,31 @@ def test_exit_2_on_config_problems(tmp_path):
 
     for section, edit in (("distill", {"lr": "0.1"}), ("distill", {"batch_size": 1.5}),
                           ("plan", {"quantile": "0.5"}),
-                          ("split", {"train_fraction": "x"})):
+                          ("split", {"train_fraction": "x"}),
+                          ("distill", {"lr": 10**400})):  # no float holds it
         raw = _base_config(tmp_path / "o")
         raw[section].update(edit)
         assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2, edit
+
+    for section, key, value in (("plan", "min_k", 1), ("plan", "max_iterations", 16),
+                                ("plan", "target_reduction", 1.0),
+                                ("distill", "epsilon_prob", 1e-12)):
+        raw = _base_config(tmp_path / "o")
+        raw[section][key] = value  # removed keys, even at their old defaults
+        assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2, key
+        assert f"unknown key {key!r} in {section}" in capsys.readouterr().err
+
+    csv_task = {"kind": "csv", "path": str(tmp_path / "d.csv")}
+    for task in ({"kind": ["planted"]}, {"kind": {"planted": 1}},
+                 dict(csv_task, path=None), dict(csv_task, path=0),
+                 dict(csv_task, label_column=7)):
+        raw = _base_config(tmp_path / "o")
+        raw["task"] = task
+        assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2, task
+    for output_dir in (5, "", [], ["o"]):
+        raw = _base_config(tmp_path / "o")
+        raw["output_dir"] = output_dir
+        assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2, output_dir
 
     raw = _base_config(tmp_path / "o")
     raw["widths"] = [True]
@@ -253,6 +333,20 @@ def test_exit_1_spectrum_on_v1_checkpoint(tmp_path, capsys):
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
     err = capsys.readouterr().err
     assert "format version 1, expected 2" in err and "Traceback" not in err
+
+
+def test_exit_1_spectrum_on_non_finite_checkpoint(tmp_path, capsys):
+    # a NaN weight is refused when the file is read, with the file named
+    out = tmp_path / "o"
+    out.mkdir()
+    net = init_network([32], 16, 3, lambda shape: np.ones(shape))
+    net.layers[0].weights[0, 0] = np.nan
+    cp_path = out / "checkpoint.rmtk"
+    cp_path.write_bytes(save_checkpoint(Checkpoint(network=net, metrics={})))
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cp_path}: layer 0 weights are not all finite\n"
 
 
 def test_exit_1_when_output_dir_is_a_file(tmp_path):
@@ -463,8 +557,7 @@ def test_sure_degenerate_layer_fails_before_training(tmp_path, capsys, monkeypat
     assert not (tmp_path / "o").exists()
 
     # the loop never reaches layer 1, or the quantile clears the zeros
-    for plan in ({"quantile": 0.2, "max_iterations": 1},
-                 {"quantile": 0.25}, {"quantile": 0.2, "layer_order": [0]}):
+    for plan in ({"quantile": 0.25}, {"quantile": 0.2, "layer_order": [0]}):
         raw["plan"] = plan
         cfg = validate_config(raw)
         check_calibration_rank(cfg.widths, 48, cfg.plan, [cfg.plan.quantile])

@@ -466,3 +466,35 @@ def test_csv_schema_errors(tmp_path):
     with pytest.raises(SchemaError) as ei:
         load_csv(p)  # repeated label column
     assert "'label'" in str(ei.value)
+
+
+_CELL = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(["label", "1", "-2.5e3", "1e400", "nan", "-inf", " 7 ",
+                     "1_0", "0x1", ""]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csvfuzz") / "f.csv"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_load_csv_random_cells_typed(fuzz_csv_path, data):
+    # any cell text ends in a Dataset of finite features or a typed error
+    header = data.draw(st.lists(_CELL, min_size=1, max_size=4), label="header")
+    if data.draw(st.booleans(), label="add_label"):
+        header.append("label")
+    rows = data.draw(st.lists(st.lists(_CELL, min_size=len(header),
+                                       max_size=len(header)), max_size=4),
+                     label="rows")
+    text = "\n".join(",".join(cells) for cells in [header] + rows)
+    fuzz_csv_path.write_text(text, encoding="utf-8", newline="")
+    try:
+        ds = load_csv(fuzz_csv_path)
+    except (ParseError, SchemaError):
+        return
+    assert isinstance(ds, Dataset) and ds.n == len(rows)
+    assert np.all(np.isfinite(ds.x))

@@ -34,7 +34,6 @@ def test_config_defaults():
 @pytest.mark.parametrize("kw", [
     {"alpha": -0.1}, {"alpha": 1.5}, {"lr": -1.0}, {"momentum": 1.0},
     {"batch_size": 0}, {"max_epochs": 0}, {"accuracy_threshold": 1.1},
-    {"epsilon_prob": 0.0},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(InvalidInput):

@@ -483,3 +483,16 @@ def test_checkpoint_trailing_bytes(tmp_path):
     with pytest.raises(CorruptFile) as ei:
         load_checkpoint(p)
     assert "1 trailing bytes" in str(ei.value)
+
+
+@pytest.mark.parametrize("layer, name, value", [(0, "weights", np.nan),
+                                                (1, "bias", np.inf),
+                                                (1, "bias", -np.inf)])
+def test_checkpoint_non_finite_parameter(tmp_path, layer, name, value):
+    net = init_network([3], 2, 2, _rnd_normal(8))
+    getattr(net.layers[layer], name).flat[0] = value
+    p = tmp_path / "n.rmtk"
+    p.write_bytes(save_checkpoint(Checkpoint(network=net, metrics={})))
+    with pytest.raises(CorruptFile) as ei:
+        load_checkpoint(p)
+    assert str(ei.value) == f"{p}: layer {layer} {name} are not all finite"

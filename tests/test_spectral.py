@@ -373,7 +373,7 @@ def test_classify_without_eigenvectors():
     model = MPModel(sigma2=1.0, q=0.25)
     full = classify(spec, np.eye(4), model)
     part = classify(spec, None, model)
-    assert part.eigenvectors is None and part.spike_eigenvectors is None
+    assert part.spike_eigenvectors is None
     assert (part.k, part.spike_indices, part.bulk_indices) == (
         full.k, full.spike_indices, full.bulk_indices)
     assert part.k == 2

@@ -6,9 +6,11 @@ and of ``compress`` on the wide benchmark config.
 Run from a source checkout; ``rmtkd`` is imported from the ``src/`` next to
 this script.  For each seed it runs ``train``, ``spectrum --layer 0`` (on a
 copy of that seed's trained checkpoint), ``compress`` and ``ablate
---quantiles 0.3,0.7`` on the toy config, then ``compress`` on the wide
-config (input 128, N=20000, widths [512, 512], whose 512-wide gemms the toy
-config's 64-wide layers do not exercise), each into a temporary directory.
+--quantiles 0.3,0.7`` on the toy config, ``compress`` on the toy config with
+``plan.accuracy_floor: 1.0`` (so the first step is rolled back and the loop
+stops), then ``compress`` on the wide config (input 128, N=20000, widths
+[512, 512], whose 512-wide gemms the toy config's 64-wide layers do not
+exercise), each into a temporary directory.
 It prints one line ``<sha256> <run>/<seed>/<file>`` per output file, sorted
 by path.
 
@@ -33,6 +35,7 @@ TOY_CONFIG = {
     "distill": {"max_epochs": 40, "accuracy_threshold": 0.95},
     "plan": {"quantile": 0.7, "layer_order": [0, 1]},
 }
+ROLLBACK_CONFIG = dict(TOY_CONFIG, plan=dict(TOY_CONFIG["plan"], accuracy_floor=1.0))
 WIDE_CONFIG = {
     "task": dict(TOY_CONFIG["task"], input_dim=128, intrinsic_dim=16, n_samples=20000),
     "widths": [512, 512],
@@ -45,6 +48,7 @@ RUNS = [
     ("spectrum", TOY_CONFIG, ["spectrum", "--layer", "0"]),
     ("compress", TOY_CONFIG, ["compress"]),
     ("ablate", TOY_CONFIG, ["ablate", "--quantiles", "0.3,0.7"]),
+    ("compress-rollback", ROLLBACK_CONFIG, ["compress"]),
     ("wide-compress", WIDE_CONFIG, ["compress"]),
 ]
 
