@@ -186,8 +186,14 @@ def build_task(cfg):
     """Materialize the configured dataset, deterministically from the seed."""
     task = cfg.task
     if task["kind"] == "planted":
-        ds, _ = planted_subspace_task(**_planted_params(task),
-                                      seed=derive_seed(cfg.seed, "task"))
+        params = _planted_params(task)
+        try:
+            ds, _ = planted_subspace_task(**params, seed=derive_seed(cfg.seed, "task"))
+        except (ValueError, MemoryError) as e:  # NumPy cannot allocate the arrays
+            raise ConfigError(
+                f"planted task too large to generate (input_dim={params['input_dim']}, "
+                f"n_samples={params['n_samples']}): {e}"
+            ) from None
         return ds
     return load_csv(task["path"], label_column=task.get("label_column", "label"))
 

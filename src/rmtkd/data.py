@@ -7,6 +7,7 @@ bit-for-bit from its parameters.
 """
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,6 +18,8 @@ from .rng import BLOCK, make_rng, normal, normal_draws
 from .spectral import ActivationMatrix
 
 GAP_TOL = 1e-9  # relative to |z|; far above the rounding of a score difference
+# A CSV feature cell: ASCII decimal with optional sign, point and exponent.
+DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass
@@ -280,10 +283,10 @@ def load_csv(path, label_column="label"):
             raise ParseError(f"{path}: row {rnum} has {len(cells)} cells, expected {len(header)}")
         feats = []
         for c, pos in zip(features, feat_pos):
-            try:
-                value = float(cells[pos])
-            except ValueError:
-                raise ParseError(f"{path}: row {rnum}, column {c!r}: not a number") from None
+            if not DECIMAL.fullmatch(cells[pos]):
+                raise ParseError(f"{path}: row {rnum}, column {c!r}: "
+                                 f"{cells[pos]!r} is not a decimal number")
+            value = float(cells[pos])
             if not math.isfinite(value):
                 raise ParseError(f"{path}: row {rnum}, column {c!r}: {cells[pos]!r} is not finite")
             feats.append(value)

@@ -6,11 +6,12 @@ model itself taken just before a compression step.  With no teacher the loss
 reduces to plain cross-entropy (warm-up phase).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFailure
 from .network import backward, forward, sgd_step
 
 # Floor on student probabilities before a log, in the CE and KL terms.
@@ -132,6 +133,8 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
     at the first epoch whose validation accuracy >= cfg.accuracy_threshold,
     or after cfg.max_epochs, and restores the best-validation weights seen
     (earliest epoch on ties).  Returns ``(net, epochs_used, val_accuracy)``.
+    Raises NumericalFailure, naming the epoch and batch, at the first
+    non-finite batch loss.
 
     ``teacher`` is a frozen network from :func:`snapshot_teacher`.  With no
     teacher, alpha is treated as 1 (pure cross-entropy warm-up).
@@ -163,6 +166,11 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
             if teacher is not None:
                 logits_old, _ = forward(teacher, xb)
             loss, grad, ce, kl = combined_loss(logits, logits_old, yb, alpha)
+            if not math.isfinite(loss):
+                raise NumericalFailure(
+                    f"training diverged: batch loss {loss!r} at epoch {epoch}, "
+                    f"batch {nb + 1}; try a smaller distill.lr"
+                )
             grads = backward(net, acts, grad)
             _, state = sgd_step(net, grads, cfg.lr, cfg.momentum, state)
             loss_sum += loss

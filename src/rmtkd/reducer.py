@@ -14,7 +14,7 @@ import numpy as np
 
 from .distill import accuracy, snapshot_teacher, train_until
 from .errors import AlreadyProjected, DegenerateSpectrum, InvalidInput, NoSpikes
-from .network import DenseLayer, forward, param_count
+from .network import DenseLayer, Network, forward, param_count
 from .rng import derive_seed, make_rng
 from .spectral import (SYM_TOL, MPModel, classify, compute_covariance,
                        eig_sym, fit_sigma2, init_sigma2)
@@ -122,8 +122,10 @@ def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
 
     ``layer_id`` indexes ``net.layers`` and must name a non-frozen hidden
     layer; ``cal_x`` is the dim x n calibration batch.  Captures the layer's
-    activations, eigendecomposes their covariance, fits sigma2 from the
-    ``quantile`` init and splits the spectrum at the fitted bulk edge.
+    activations by running only the layers up to it, eigendecomposes their
+    covariance (the activations are freed first, so they never share memory
+    with the eigensolver's copy), fits sigma2 from the ``quantile`` init and
+    splits the spectrum at the fitted bulk edge.
     Returns ``(spectrum, model, partition, fit)``.  With ``vectors=False``
     only eigenvalues are computed and the partition carries no vectors.
 
@@ -133,10 +135,12 @@ def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
     """
     if not 0 <= layer_id < len(net.layers) - 1 or net.layers[layer_id].frozen:
         raise InvalidInput(f"layer {layer_id} is not a reducible hidden layer")
-    _, acts = forward(net, cal_x)
-    x = acts[layer_id + 1]
-    spectrum, vecs = eig_sym(compute_covariance(x), n_samples=x.shape[1],
-                             vectors=vectors)
+    prefix = Network(layers=net.layers[:layer_id + 1], input_dim=net.input_dim,
+                     num_classes=net.layers[layer_id].out_dim)
+    x = forward(prefix, cal_x)[0]  # the acts list is dropped with the tuple
+    cov, n = compute_covariance(x), x.shape[1]
+    del x
+    spectrum, vecs = eig_sym(cov, n_samples=n, vectors=vectors)
     s2_init = init_sigma2(spectrum, quantile)
     floor = SYM_TOL * spectrum.clamped[0]
     if s2_init <= floor:

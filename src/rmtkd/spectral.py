@@ -21,6 +21,9 @@ from .errors import DegenerateSpectrum, InvalidInput, NumericalFailure
 # Tolerance for accepting a matrix as symmetric, and for the tiny negative
 # eigenvalues a symmetric eigensolver may emit on a PSD input.
 SYM_TOL = 1e-8
+# Side of the square tiles the exact-symmetry test compares with their
+# mirrors; a tile pair stays in cache where a whole a.T pass does not.
+SYM_TILE = 128
 
 
 @dataclass
@@ -127,19 +130,30 @@ def compute_covariance(x):
     """Empirical covariance Sigma = (1/n) X X^T of a d x n activation matrix.
 
     Uncentered: the mean is *not* subtracted, matching the raw second-moment
-    formula.
+    formula.  The result is exactly symmetric: for a contiguous ``a`` (a
+    strided one is copied first), NumPy computes ``a @ a.T`` with a
+    symmetric rank-k update and mirrors one triangle.
     """
     a = x.entries if isinstance(x, ActivationMatrix) else np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] < 2:
         raise InvalidInput("expected a d x n matrix with n >= 2")
     if not np.all(np.isfinite(a)):
         raise InvalidInput("non-finite entry in activation matrix")
+    a = np.ascontiguousarray(a)
     cov = a @ a.T
     cov /= a.shape[1]
-    # NumPy computes a @ a.T of a contiguous a with a symmetric rank-k update,
-    # which is exactly symmetric; a strided a takes a general product, whose
-    # two triangles may round differently.
-    return cov if np.array_equal(cov, cov.T) else (cov + cov.T) / 2.0
+    return cov
+
+
+def _exactly_symmetric(a):
+    """``np.array_equal(a, a.T)`` for a square ``a``, one tile pair at a time."""
+    d = a.shape[0]
+    for i in range(0, d, SYM_TILE):
+        for j in range(i, d, SYM_TILE):
+            if not np.array_equal(a[i:i + SYM_TILE, j:j + SYM_TILE],
+                                  a[j:j + SYM_TILE, i:i + SYM_TILE].T):
+                return False
+    return True
 
 
 def eig_sym(matrix, n_samples=None, vectors=True):
@@ -161,7 +175,7 @@ def eig_sym(matrix, n_samples=None, vectors=True):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput("expected a square matrix")
     # An exactly symmetric finite matrix already equals (a + a.T) / 2.
-    if not np.array_equal(a, a.T):
+    if not _exactly_symmetric(a):
         if np.max(np.abs(a - a.T)) > SYM_TOL:
             raise InvalidInput("matrix is not symmetric within tolerance")
         a = (a + a.T) / 2.0

@@ -358,6 +358,29 @@ def test_exit_1_when_output_dir_is_a_file(tmp_path):
 
 # -------------------------------------------------------------- train output
 
+def test_exit_2_planted_task_too_big_to_allocate(tmp_path, capsys):
+    raw = _base_config(tmp_path / "o")
+    raw["task"]["input_dim"] = 100_000_000_000  # NumPy refuses before allocating
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: planted task too large" in err
+    assert "input_dim=100000000000" in err and "n_samples=600" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_exit_1_on_diverging_training(tmp_path, capsys):
+    raw = _base_config(tmp_path / "o")
+    raw["distill"]["lr"] = 1e300
+    for command in ("train", "compress"):
+        assert main([command, "--config", _write_config(tmp_path, raw)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"error: training diverged: batch loss nan at epoch 1, "
+                         r"batch \d+;", err), err
+        assert not (tmp_path / "o").exists()  # nothing written
+
+
 def test_train_outputs(tmp_path):
     out = tmp_path / "run"
     cfgp = _write_config(tmp_path, _base_config(out))

@@ -438,6 +438,20 @@ def test_csv_parse_error_names_row_and_column(tmp_path):
         assert "row 2" in str(ei.value) and "'f0'" in str(ei.value)
 
 
+def test_csv_cells_must_be_decimal(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("f0,label\n-2.5,0\n+3,1\n.5,0\n1e-3,1\n7.,0\n-0,1\n")
+    ds = load_csv(p)
+    assert ds.x[0].tolist() == [-2.5, 3.0, 0.5, 1e-3, 7.0, 0.0]
+    # float() accepts all of these; a decimal column does not
+    for cell in ("1_0", "\u0663", " 7 ", "0x1", "1e", ".", "+", "1.5e3.0"):
+        p.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{cell},1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as ei:
+            load_csv(p)
+        assert "row 2" in str(ei.value) and "'f1'" in str(ei.value), cell
+        assert "not a decimal number" in str(ei.value), cell
+
+
 def test_csv_ragged_row_rejected(tmp_path):
     p = tmp_path / "rag.csv"
     p.write_text("f0,f1,label\n1.0,0\n")

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rmtkd import reducer
 from rmtkd.data import (Dataset, SplitSpec, planted_subspace_task,
                         sample_noise_matrix, sample_spiked, split)
 from rmtkd.distill import DistillConfig, accuracy, train_until
@@ -205,6 +208,57 @@ def test_analyse_layer_values_only_keeps_k():
     assert abs(model_v.sigma2 - model.sigma2) <= 1e-12 * model.sigma2
     scale = spec.eigenvalues[0]
     assert np.max(np.abs(spec_v.eigenvalues - spec.eigenvalues)) <= 1e-12 * scale
+
+
+def _analyse_from_full_forward(net, cal_x, layer_id, quantile):
+    """analyse_layer's pipeline on the activations of a whole-network pass."""
+    _, acts = forward(net, cal_x)
+    x = acts[layer_id + 1]
+    spec, vecs = eig_sym(compute_covariance(x), n_samples=x.shape[1])
+    sigma2, _ = fit_sigma2(spec, init_sigma2(spec, quantile))
+    model = MPModel(sigma2=sigma2, q=spec.q)
+    return spec, model, classify(spec, vecs, model)
+
+
+def test_analyse_layer_matches_full_forward_bits():
+    parts = _task_parts(seed=35)
+    rng = make_rng(36)
+    net = init_network([24, 20, 16], 16, 3, lambda s: normal(rng, s))
+    projected = apply_projection(net, Projection(matrix=_ortho(24, seed=37)[:10],
+                                                 layer_id=0,
+                                                 retained_eigenvalues=[0.0] * 10))
+    cal_x = parts[2].x
+    # every hidden layer, and the layers behind a frozen projection
+    for model_net, layer_ids in ((net, (0, 1, 2)), (projected, (0, 2, 3))):
+        for layer_id in layer_ids:
+            spec, model, part, _ = analyse_layer(model_net, cal_x, layer_id, 0.5)
+            ref_spec, ref_model, ref_part = _analyse_from_full_forward(
+                model_net, cal_x, layer_id, 0.5)
+            assert (spec.d, spec.n) == (ref_spec.d, ref_spec.n)
+            assert np.array_equal(spec.eigenvalues, ref_spec.eigenvalues)
+            assert model.sigma2 == ref_model.sigma2
+            assert part.k == ref_part.k and part.k > 0
+            assert np.array_equal(part.spike_eigenvectors, ref_part.spike_eigenvectors)
+
+
+def test_analyse_layer_frees_activations_before_eigensolve(monkeypatch):
+    rng = make_rng(38)
+    net = init_network([256, 8], 16, 3, lambda s: normal(rng, s))
+    cal_x = normal(rng, (16, 2000))  # layer 0's activations: 4 MB
+    seen = {}
+
+    def spy(cov, **kwargs):
+        seen["traced"], _ = tracemalloc.get_traced_memory()
+        seen["cov"] = cov.nbytes  # 0.5 MB
+        return eig_sym(cov, **kwargs)
+
+    monkeypatch.setattr(reducer, "eig_sym", spy)
+    tracemalloc.start()
+    try:
+        analyse_layer(net, cal_x, 0, 0.5, vectors=False)
+    finally:
+        tracemalloc.stop()
+    assert seen["traced"] <= seen["cov"] + 64 * 1024, seen
 
 
 # -------------------------------------------------------------- compress_step

@@ -8,8 +8,9 @@ from scipy.integrate import quad
 
 from rmtkd.data import sample_noise_matrix, sample_spiked
 from rmtkd.errors import DegenerateSpectrum, InvalidInput, NumericalFailure
-from rmtkd.spectral import (ActivationMatrix, MPModel, Spectrum, bbp_threshold,
-                            classify, compute_covariance, eig_sym, fit_sigma2,
+from rmtkd.spectral import (SYM_TILE, ActivationMatrix, MPModel, Spectrum,
+                            _exactly_symmetric, bbp_threshold, classify,
+                            compute_covariance, eig_sym, fit_sigma2,
                             init_sigma2, mp_bulk_edges, mp_density,
                             wigner_semicircle_density)
 
@@ -166,9 +167,47 @@ def test_covariance_is_exactly_symmetric():
     x = np.random.default_rng(17).normal(size=(70, 150))
     cov = compute_covariance(x)
     assert np.array_equal(cov, cov.T)
-    # a strided view takes the general gemm path; the result is still exact
+    # a strided view is made contiguous, so it too takes the symmetric update
     strided = compute_covariance(np.random.default_rng(18).normal(size=(40, 300))[:, ::2])
     assert np.array_equal(strided, strided.T)
+    for d in (1, 2, 129, 300):
+        x = np.random.default_rng(19 + d).normal(size=(d, 7))
+        cov = compute_covariance(np.asfortranarray(x))
+        assert np.array_equal(cov, cov.T), d
+
+
+def _tile_cases():
+    t = SYM_TILE
+    cases = {}
+    for d in (1, 5, t - 1, t, 2 * t + 44):  # d = 1, below a tile, one tile, a partial tile
+        cases[f"symmetric-{d}"] = _symmetric(d, 20 + d)
+    a = _symmetric(2 * t + 44, 21)
+    for name, (i, j) in {"off-diagonal-tile": (5, t + 40),
+                         "tile-boundary": (t - 1, t),
+                         "last-partial-tile": (2 * t + 43, 3),
+                         "first-row": (0, 2 * t + 43)}.items():
+        b = a.copy()
+        b[i, j] += 1e-9
+        cases[name] = b
+    b = _symmetric(100, 22)
+    b[7, 90] = np.nextafter(b[7, 90], np.inf)  # one ulp, below a tile
+    cases["one-ulp-small"] = b
+    for d in (1, 2 * t + 44):
+        b = _symmetric(d, 23)
+        b[d // 2, d // 2] = np.nan  # array_equal calls NaN unequal to itself
+        cases[f"nan-diagonal-{d}"] = b
+    b = _symmetric(2 * t + 44, 24)
+    b[3, t + 3] = b[t + 3, 3] = np.inf  # mirrored infinities are equal
+    cases["mirrored-inf"] = b
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_tile_cases()))
+def test_exactly_symmetric_agrees_with_array_equal(name):
+    a = _tile_cases()[name]
+    expected = np.array_equal(a, a.T)
+    assert expected == (name.startswith("symmetric") or name == "mirrored-inf")
+    assert _exactly_symmetric(a) == expected
 
 
 # ------------------------------------------------------------- closed forms

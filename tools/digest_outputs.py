@@ -1,5 +1,6 @@
 """Hash every output file of the four rmtkd subcommands on the README toy config,
-and of ``compress`` on the wide benchmark config.
+of ``compress`` on the wide benchmark config and of ``spectrum`` on the
+2048-wide spectrum benchmark config.
 
     python3 tools/digest_outputs.py --seeds 0 1
 
@@ -8,9 +9,11 @@ this script.  For each seed it runs ``train``, ``spectrum --layer 0`` (on a
 copy of that seed's trained checkpoint), ``compress`` and ``ablate
 --quantiles 0.3,0.7`` on the toy config, ``compress`` on the toy config with
 ``plan.accuracy_floor: 1.0`` (so the first step is rolled back and the loop
-stops), then ``compress`` on the wide config (input 128, N=20000, widths
+stops), ``compress`` on the wide config (input 128, N=20000, widths
 [512, 512], whose 512-wide gemms the toy config's 64-wide layers do not
-exercise), each into a temporary directory.
+exercise), then ``train`` and ``spectrum --layer 0`` into one directory on
+the spectrum benchmark's config (toy task, widths [2048], every train
+column a calibration column), each run into a temporary directory.
 It prints one line ``<sha256> <run>/<seed>/<file>`` per output file, sorted
 by path.
 
@@ -42,14 +45,24 @@ WIDE_CONFIG = {
     "distill": TOY_CONFIG["distill"],
     "plan": TOY_CONFIG["plan"],
 }
-# (run name, config, argv); "spectrum" reads the checkpoint "train" wrote
+SPECTRUM_WIDE_CONFIG = {
+    "task": TOY_CONFIG["task"],
+    "widths": [2048],
+    "distill": TOY_CONFIG["distill"],
+    "split": {"calibration_fraction": 1.0},
+    "plan": {"quantile": 0.7, "layer_order": [0]},
+}
+SPECTRUM = ["spectrum", "--layer", "0"]
+# (run name, config, commands run in turn into the run's directory);
+# "spectrum" reads the checkpoint "train" wrote
 RUNS = [
-    ("train", TOY_CONFIG, ["train"]),
-    ("spectrum", TOY_CONFIG, ["spectrum", "--layer", "0"]),
-    ("compress", TOY_CONFIG, ["compress"]),
-    ("ablate", TOY_CONFIG, ["ablate", "--quantiles", "0.3,0.7"]),
-    ("compress-rollback", ROLLBACK_CONFIG, ["compress"]),
-    ("wide-compress", WIDE_CONFIG, ["compress"]),
+    ("train", TOY_CONFIG, [["train"]]),
+    ("spectrum", TOY_CONFIG, [SPECTRUM]),
+    ("compress", TOY_CONFIG, [["compress"]]),
+    ("ablate", TOY_CONFIG, [["ablate", "--quantiles", "0.3,0.7"]]),
+    ("compress-rollback", ROLLBACK_CONFIG, [["compress"]]),
+    ("wide-compress", WIDE_CONFIG, [["compress"]]),
+    ("spectrum-wide", SPECTRUM_WIDE_CONFIG, [["train"], SPECTRUM]),
 ]
 
 
@@ -57,7 +70,7 @@ def digests(work, seeds, main):
     """Run every command for every seed under ``work``; return sorted lines."""
     lines = []
     for seed in seeds:
-        for name, config, argv in RUNS:
+        for name, config, commands in RUNS:
             config_path = os.path.join(work, f"{name}.json")
             with open(config_path, "w", encoding="utf-8") as fh:
                 json.dump(config, fh, sort_keys=True)
@@ -65,10 +78,11 @@ def digests(work, seeds, main):
             os.makedirs(out)
             if name == "spectrum":
                 shutil.copy(os.path.join(work, "train", str(seed), "checkpoint.rmtk"), out)
-            rc = main(argv + ["--config", config_path, "--out", out,
-                              "--seed", str(seed)])
-            if rc != 0:
-                raise RuntimeError(f"{name} with seed {seed} exited {rc}")
+            for argv in commands:
+                rc = main(argv + ["--config", config_path, "--out", out,
+                                  "--seed", str(seed)])
+                if rc != 0:
+                    raise RuntimeError(f"{name} {argv[0]} with seed {seed} exited {rc}")
             for fname in os.listdir(out):
                 with open(os.path.join(out, fname), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
