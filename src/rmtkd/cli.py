@@ -26,12 +26,13 @@ import tempfile
 from dataclasses import dataclass
 
 from .data import SplitSpec, load_csv, planted_subspace_task, split
-from .distill import DistillConfig, accuracy, train_until
+from .distill import DistillConfig, train_until
 from .errors import ConfigError, InvalidInput, RmtkdError
 from .network import (Checkpoint, init_network, load_checkpoint, param_count,
                       save_checkpoint)
 from .reducer import (CompressionPlan, _hidden_layer_index, analyse_layer,
-                      check_calibration_rank, quantile_ablation, run_loop)
+                      check_calibration_rank, final_accuracy, quantile_ablation,
+                      run_loop)
 from .rng import derive_seed, make_rng, normal
 from .spectral import spectrum_to_csv
 
@@ -300,9 +301,9 @@ def cmd_compress(cfg):
     net, _, base_acc = _warm_up(cfg, parts, log_rows)
     base_params, _ = param_count(net)
     loop_rng = make_rng(derive_seed(cfg.seed, "loop"))
-    net, history = run_loop(net, parts, cfg.plan, cfg.distill, loop_rng)
+    net, history = run_loop(net, parts, cfg.plan, cfg.distill, loop_rng, base_acc)
     trainable, frozen = param_count(net)
-    final_acc = accuracy(net, parts[1].x, parts[1].y)
+    final_acc = final_accuracy(history, cfg.plan, base_acc)
     summary = {
         "baseline_accuracy": base_acc,
         "final_accuracy": final_acc,

@@ -200,7 +200,11 @@ def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,
 
     ambient = normal(rng, (input_dim - r, n_samples), std=noise_sigma) if input_dim > r \
         else np.zeros((0, n_samples))
-    x = basis @ latents + complement @ ambient
+    # x = B z + noise, added the other way round (the same bits) so that the
+    # ambient draw is freed before B z is formed
+    x = complement @ ambient
+    del ambient
+    x += basis @ latents
     perm = rng.permutation(n_samples)
     ds = Dataset(x=x[:, perm], y=labels[perm], num_classes=num_classes,
                  extra={"scorer": scorer, "margin": margin})

@@ -121,10 +121,12 @@ def snapshot_teacher(net):
 
 
 def accuracy(net, x, y):
-    logits, _ = forward(net, x)
+    logits, _ = forward(net, x, keep_acts=False)
     return float(np.mean(np.argmax(logits, axis=0) == np.asarray(y)))
 
 
+# A diverging run ends in the typed NumericalFailure, not in NumPy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
     """Train until validation accuracy reaches the threshold.
 
@@ -164,7 +166,7 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
             logits, acts = forward(net, xb)
             logits_old = None
             if teacher is not None:
-                logits_old, _ = forward(teacher, xb)
+                logits_old, _ = forward(teacher, xb, keep_acts=False)
             loss, grad, ce, kl = combined_loss(logits, logits_old, yb, alpha)
             if not math.isfinite(loss):
                 raise NumericalFailure(

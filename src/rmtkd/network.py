@@ -93,27 +93,31 @@ def init_network(widths, input_dim, num_classes, rng_normal):
     return Network(layers=layers, input_dim=input_dim, num_classes=num_classes)
 
 
-def forward(net, batch):
+def forward(net, batch, *, keep_acts=True):
     """Run the network on a dim x b batch.
 
     Returns ``(logits, acts)``: ``acts[0]`` is the batch and ``acts[i + 1]``
     is layer i's post-activation output, so ``acts[-1]`` is the logits.
     Pass ``acts`` to :func:`backward` to backpropagate through this pass.
+    With ``keep_acts=False`` it returns ``(logits, None)`` and drops each
+    activation once the next layer has consumed it, so at most two are
+    alive at a time; the logits are the same bits.
     """
     a = np.asarray(batch, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != net.input_dim:
         raise InvalidInput(
             f"batch must be {net.input_dim} x b, got {a.shape}"
         )
-    acts = [a]
+    acts = [a] if keep_acts else None
     for layer in net.layers:
-        z = layer.weights @ acts[-1]
+        a = layer.weights @ a
         if layer.bias is not None:
-            z += layer.bias[:, None]
+            a += layer.bias[:, None]
         if layer.activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        acts.append(z)
-    return acts[-1], acts
+            np.maximum(a, 0.0, out=a)
+        if keep_acts:
+            acts.append(a)
+    return a, acts
 
 
 def backward(net, acts, loss_grad_at_logits):

@@ -137,7 +137,7 @@ def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
         raise InvalidInput(f"layer {layer_id} is not a reducible hidden layer")
     prefix = Network(layers=net.layers[:layer_id + 1], input_dim=net.input_dim,
                      num_classes=net.layers[layer_id].out_dim)
-    x = forward(prefix, cal_x)[0]  # the acts list is dropped with the tuple
+    x, _ = forward(prefix, cal_x, keep_acts=False)
     cov, n = compute_covariance(x), x.shape[1]
     del x
     spectrum, vecs = eig_sym(cov, n_samples=n, vectors=vectors)
@@ -182,21 +182,21 @@ def check_calibration_rank(widths, n, plan, quantiles):
                 )
 
 
-def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
+def compress_step(net, data, plan, cfg, layer_id, rng, acc_before, iteration=0):
     """One train -> analyse -> project -> fine-tune cycle at ``layer_id``.
 
     ``data`` is the (train, val, calibration) triple; ``layer_id`` indexes
     the current network's layers and must name a non-frozen hidden layer.
-    Returns ``(new_net, IterationRecord)``; the input network is never
-    mutated.  A spectrum with no spikes is a skip: the input network is
-    returned unchanged with k = d recorded.  DegenerateSpectrum from
-    :func:`analyse_layer` propagates.
+    ``acc_before`` is the input network's validation accuracy, which the
+    caller already knows.  Returns ``(new_net, IterationRecord)``; the input
+    network is never mutated.  A spectrum with no spikes is a skip: the
+    input network is returned unchanged with k = d recorded.
+    DegenerateSpectrum from :func:`analyse_layer` propagates.
     """
     train_part, val_part, cal_part = data
     spectrum, model, partition, _ = analyse_layer(net, cal_part.x, layer_id,
                                                   plan.quantile)
     params_before, _ = param_count(net)
-    acc_before = accuracy(net, val_part.x, val_part.y)
 
     d = spectrum.d
     try:
@@ -225,7 +225,12 @@ def compress_step(net, data, plan, cfg, layer_id, rng, iteration=0):
     return new_net, record
 
 
-def run_loop(net, data, plan, cfg, rng):
+def rolled_back(record, plan):
+    """Whether run_loop rolled this step back: reduced, then below the floor."""
+    return record.k < record.d and record.acc_after_finetune < plan.accuracy_floor
+
+
+def run_loop(net, data, plan, cfg, rng, acc=None):
     """Iterate compress_step over ``plan.layer_order``, one step per ordinal.
 
     Stops after the last planned layer, or at the first step whose
@@ -233,17 +238,35 @@ def run_loop(net, data, plan, cfg, rng):
     step is rolled back (compress_step never mutates its input, so the
     pre-step network is simply kept).  Returns ``(net, history)``;
     rolled-back and skipped attempts stay in the history for audit.
+    ``acc`` is the input network's validation accuracy, computed here when
+    not given; each later step's comes from its fine-tune.
     """
+    if acc is None:
+        _, val_part, _ = data
+        acc = accuracy(net, val_part.x, val_part.y)
     history = []
     for step, ordinal in enumerate(plan.layer_order):
         layer_id = _hidden_layer_index(net, ordinal)
-        new_net, record = compress_step(net, data, plan, cfg, layer_id, rng,
+        new_net, record = compress_step(net, data, plan, cfg, layer_id, rng, acc,
                                         iteration=step)
         history.append(record)
-        if record.k < record.d and record.acc_after_finetune < plan.accuracy_floor:
-            break  # rollback: keep the pre-step network
-        net = new_net
+        if rolled_back(record, plan):
+            break  # keep the pre-step network
+        net, acc = new_net, record.acc_after_finetune
     return net, history
+
+
+def final_accuracy(history, plan, acc):
+    """Validation accuracy of the network run_loop returned with ``history``.
+
+    ``acc`` is the accuracy of the network run_loop started from.  Only the
+    last step can be rolled back, and that keeps its pre-step network; a
+    skip records acc_after_finetune = acc_before.
+    """
+    if not history:
+        return acc
+    last = history[-1]
+    return last.acc_before if rolled_back(last, plan) else last.acc_after_finetune
 
 
 def quantile_ablation(net_factory, data, quantile_grid, plan, cfg, seed=0):
@@ -263,11 +286,12 @@ def quantile_ablation(net_factory, data, quantile_grid, plan, cfg, seed=0):
         base_params, _ = param_count(cell_net)
         cell_plan = replace(plan, quantile=float(qv))
         cell_rng = make_rng(derive_seed(seed, f"ablate-{float(qv)!r}"))
-        out_net, _ = run_loop(cell_net, data, cell_plan, cfg, cell_rng)
+        acc = accuracy(cell_net, val_part.x, val_part.y)
+        out_net, history = run_loop(cell_net, data, cell_plan, cfg, cell_rng, acc)
         trainable, _ = param_count(out_net)
         rows.append((
             float(qv),
-            accuracy(out_net, val_part.x, val_part.y),
+            final_accuracy(history, cell_plan, acc),
             1.0 - trainable / base_params,
         ))
     return rows

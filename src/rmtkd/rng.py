@@ -38,6 +38,9 @@ def derive_seed(seed, tag):
     return int.from_bytes(h.digest(), "little")
 
 
+CHUNK = 2**16  # pairs per slice of a round's uniforms in normal()
+
+
 def normal(rng, size=None, mean=0.0, std=1.0):
     """Gaussian variates via the (vectorized) polar method.
 
@@ -45,6 +48,10 @@ def normal(rng, size=None, mean=0.0, std=1.0):
     disc, and maps each accepted pair to two independent N(0, 1) values.
     Rejected pairs are replaced by fresh draws until the requested count is
     met, keeping the stream deterministic per seed.
+
+    Each round draws all its u and then all its v, and then transforms the
+    pairs ``CHUNK`` at a time, so the temporaries stay small however many
+    values are asked for.
     """
     if size is None:
         n = 1
@@ -53,27 +60,31 @@ def normal(rng, size=None, mean=0.0, std=1.0):
     out = np.empty(n, dtype=np.float64)
     filled = 0
     while filled < n:
-        need = n - filled
-        m = max(8, int(need * 0.7) + 4)  # ~pi/4 acceptance, two values per pair
-        u = rng.uniform(-1.0, 1.0, size=m)
-        v = rng.uniform(-1.0, 1.0, size=m)
-        s = u * u
-        s += v * v
-        ok = s > 0.0
-        ok &= s < 1.0
-        u = u[ok]
-        v = v[ok]
-        s = s[ok]
-        f = np.log(s)  # f = sqrt(-2 log(s) / s), in place
-        f *= -2.0
-        f /= s
-        np.sqrt(f, out=f)
-        # the pairs (u f, v f) fill out in order, as many values as needed
-        take = min(2 * len(f), need)
-        dst = out[filled:filled + take]
-        np.multiply(u[:(take + 1) // 2], f[:(take + 1) // 2], out=dst[0::2])
-        np.multiply(v[:take // 2], f[:take // 2], out=dst[1::2])
-        filled += take
+        m = max(8, int((n - filled) * 0.7) + 4)  # ~pi/4 acceptance, two values per pair
+        u_all = rng.uniform(-1.0, 1.0, size=m)
+        v_all = rng.uniform(-1.0, 1.0, size=m)
+        for start in range(0, m, CHUNK):
+            u = u_all[start:start + CHUNK]
+            v = v_all[start:start + CHUNK]
+            s = u * u
+            s += v * v
+            ok = s > 0.0
+            ok &= s < 1.0
+            u = u[ok]
+            v = v[ok]
+            s = s[ok]
+            f = np.log(s)  # f = sqrt(-2 log(s) / s), in place
+            f *= -2.0
+            f /= s
+            np.sqrt(f, out=f)
+            # the pairs (u f, v f) fill out in order, as many values as needed
+            take = min(2 * len(f), n - filled)
+            dst = out[filled:filled + take]
+            np.multiply(u[:(take + 1) // 2], f[:(take + 1) // 2], out=dst[0::2])
+            np.multiply(v[:take // 2], f[:take // 2], out=dst[1::2])
+            filled += take
+            if filled == n:
+                break
     out *= std  # out = mean + std * out, in place
     out += mean
     if size is None:

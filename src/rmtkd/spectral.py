@@ -176,7 +176,9 @@ def eig_sym(matrix, n_samples=None, vectors=True):
         raise InvalidInput("expected a square matrix")
     # An exactly symmetric finite matrix already equals (a + a.T) / 2.
     if not _exactly_symmetric(a):
-        if np.max(np.abs(a - a.T)) > SYM_TOL:
+        # entrywise, so a NaN elsewhere cannot hide an asymmetric pair; a
+        # NaN pair is left for the non-finite check after the solve
+        if np.any(np.abs(a - a.T) > SYM_TOL):
             raise InvalidInput("matrix is not symmetric within tolerance")
         a = (a + a.T) / 2.0
     try:

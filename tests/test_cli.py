@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -368,13 +369,14 @@ def test_exit_2_planted_task_too_big_to_allocate(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_exit_1_on_diverging_training(tmp_path, capsys):
     raw = _base_config(tmp_path / "o")
     raw["distill"]["lr"] = 1e300
     for command in ("train", "compress"):
-        assert main([command, "--config", _write_config(tmp_path, raw)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", _write_config(tmp_path, raw)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert re.search(r"error: training diverged: batch loss nan at epoch 1, "
                          r"batch \d+;", err), err
@@ -617,6 +619,48 @@ def test_compress_outputs_and_rerun_bit_identical(tmp_path):
     for name in ("summary.json", "history.csv", "training_log.csv",
                  "checkpoint.rmtk"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` in every rmtkd module that bound it."""
+    for name, module in sorted(sys.modules.items()):
+        if name == "rmtkd" or name.startswith("rmtkd."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_compress_computes_each_validation_accuracy_once(tmp_path, monkeypatch):
+    # Each accuracy a compress op reports was measured by a training epoch;
+    # none is computed a second time.
+    from rmtkd import distill
+    accuracy_calls, epochs = [], []
+
+    def counting_accuracy(*args, **kwargs):
+        accuracy_calls.append(1)
+        return original_accuracy(*args, **kwargs)
+
+    def recording_train_until(*args, **kwargs):
+        result = original_train_until(*args, **kwargs)
+        epochs.append(result[1])
+        return result
+
+    original_accuracy, original_train_until = distill.accuracy, distill.train_until
+    _patch_everywhere(monkeypatch, original_accuracy, counting_accuracy)
+    _patch_everywhere(monkeypatch, original_train_until, recording_train_until)
+    raw = {
+        "task": {"kind": "planted", "input_dim": 32, "intrinsic_dim": 8,
+                 "num_classes": 10, "n_samples": 5000, "noise_sigma": 0.3},
+        "widths": [64, 64],
+        "distill": {"max_epochs": 40, "accuracy_threshold": 0.95},
+        "plan": {"quantile": 0.7, "layer_order": [0, 1]},
+        "output_dir": str(tmp_path / "o"),
+    }
+    assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 0
+    assert len(epochs) == 3  # warm-up and two fine-tunes
+    assert len(accuracy_calls) == sum(epochs) == 3
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["steps"] == 2
 
 
 def test_compress_seed_changes_results(tmp_path):

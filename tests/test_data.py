@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,60 @@ def test_normal_matches_out_of_place_reference(size, mean, std):
         np.testing.assert_equal(a.rng.bit_generator.state, b.rng.bit_generator.state)
     if size in (7, (12, 9)):
         assert max(rounds) >= 2  # multi-round calls are covered
+
+
+def _chunk_sizes():
+    """Sizes around the slice length, in values and in a first round's pairs."""
+    c = rng_module.CHUNK
+    sizes = [None, 1, 7, c - 1, c, c + 1]
+    for pairs in (c - 1, c, c + 1, 2 * c + 3):
+        n = int((pairs - 4) / 0.7)
+        while int(n * 0.7) + 4 < pairs:  # the smallest n whose first round has that many
+            n += 1
+        sizes.append(n)
+    return sizes
+
+
+@pytest.mark.parametrize("size", _chunk_sizes())
+def test_chunked_normal_matches_one_shot_reference(size):
+    for seed in range(2):
+        a, b = make_rng(seed), make_rng(seed)
+        for _ in range(2):
+            got = normal(a, size)
+            want = _normal_ref(b, size)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_chunked_normal_matches_reference_across_slices_and_rounds(chunk, monkeypatch):
+    # Slices of a few pairs put every slice boundary, odd tail and second
+    # round of pairs into calls small enough to repeat many times.
+    monkeypatch.setattr(rng_module, "CHUNK", chunk)
+    rounds = []
+    for seed in range(20):
+        a, b = _CountingUniform(seed), _CountingUniform(seed)
+        for size in (1, 2, 3, 7, 8, 25, (12, 9)):
+            before = a.calls
+            got = normal(a, size, mean=0.5, std=2.0)
+            rounds.append((a.calls - before) // 2)
+            want = _normal_ref(b, size, mean=0.5, std=2.0)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        np.testing.assert_equal(a.rng.bit_generator.state, b.rng.bit_generator.state)
+    assert max(rounds) >= 2  # a second round of pairs is covered
+
+
+def test_normal_memory_is_output_plus_one_round_of_uniforms():
+    n = 10**6
+    m = int(n * 0.7) + 4  # the first round's pairs
+    rng = make_rng(3)
+    tracemalloc.start()
+    try:
+        normal(rng, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 2 * 8 * m + 4 * 2**20, peak
 
 
 # --------------------------------------------------------------------- split

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ def test_accuracy_hand():
     x = np.array([[3.0, 0.0], [0.0, 3.0]])
     assert accuracy(net, x, np.array([0, 1])) == 1.0
     assert accuracy(net, x, np.array([1, 1])) == 0.5
+
+
+def test_accuracy_holds_at_most_two_activations():
+    net = init_network([512, 512, 512], 16, 10, lambda s: normal(make_rng(6), s))
+    rng = make_rng(7)
+    x = normal(rng, (16, 4000))
+    y = np.arange(4000) % 10
+    expected = float(np.mean(np.argmax(forward(net, x)[0], axis=0) == y))
+    activation = 512 * 4000 * 8
+    tracemalloc.start()
+    try:
+        got = accuracy(net, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak <= 2 * activation + 2**20, peak  # keeping acts holds three
 
 
 # --------------------------------------------------------------- train_until

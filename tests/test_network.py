@@ -329,6 +329,20 @@ def test_in_place_training_matches_out_of_place_bits():
     assert np.array_equal(net.layers[1].weights, _projected_net(20).layers[1].weights)
 
 
+def test_forward_without_acts_gives_the_same_logit_bits():
+    net = _projected_net(24)
+    assert net.layers[1].frozen and net.layers[1].bias is None
+    rng = make_rng(25)
+    for b in (1, 7, 64):
+        x = normal(rng, (6, b))
+        logits, acts = forward(net, x)
+        lean, none = forward(net, x, keep_acts=False)
+        assert none is None and len(acts) == len(net.layers) + 1
+        assert _same_bits(lean, logits), b
+    with pytest.raises(TypeError):
+        forward(net, x, False)  # keyword-only
+
+
 def test_forward_backward_sgd_leave_their_inputs_alone():
     net = _projected_net(22)
     x = normal(make_rng(23), (6, 8))

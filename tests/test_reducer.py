@@ -12,7 +12,7 @@ from rmtkd.network import (DenseLayer, Network, forward, init_network,
                            param_count)
 from rmtkd.reducer import (CompressionPlan, Projection, _hidden_layer_index,
                            analyse_layer, apply_projection, build_projection, compress_step,
-                           quantile_ablation, run_loop)
+                           final_accuracy, quantile_ablation, rolled_back, run_loop)
 from rmtkd.rng import make_rng, normal
 from rmtkd.spectral import (MPModel, SpectralPartition, Spectrum, classify,
                             compute_covariance, eig_sym, fit_sigma2,
@@ -270,7 +270,8 @@ def test_compress_step_reduces_and_records():
     before = [l.weights.copy() for l in net.layers]
     plan = CompressionPlan(layer_order=[0], quantile=0.7)
     new_net, rec = compress_step(net, parts, plan, _fast_cfg(), 0,
-                                 make_rng(32))
+                                 make_rng(32), base_acc)
+    assert rec.acc_before == base_acc == accuracy(net, parts[1].x, parts[1].y)
     assert rec.d == 32 and 1 <= rec.k < rec.d
     assert rec.sigma2 > 0 and rec.lambda_plus > 0
     assert rec.params_after < rec.params_before
@@ -299,8 +300,9 @@ def test_compress_step_skip_on_pure_noise():
     labels[: n // 3] = 1
     part = Dataset(x=noise, y=labels, num_classes=3)
     plan = CompressionPlan(layer_order=[0], quantile=0.5)
+    acc = accuracy(net, part.x, part.y)
     new_net, rec = compress_step(net, (part, part, part), plan, _fast_cfg(),
-                                 0, make_rng(42))
+                                 0, make_rng(42), acc)
     assert rec.k == rec.d == d
     assert rec.params_after == rec.params_before
     assert new_net is net
@@ -308,10 +310,10 @@ def test_compress_step_skip_on_pure_noise():
 
 def test_compress_step_rejects_frozen_or_final_layer():
     parts = _task_parts(seed=50)
-    net, _ = _warmed_net(parts, seed=51)
+    net, acc = _warmed_net(parts, seed=51)
     plan = CompressionPlan(layer_order=[0])
     with pytest.raises(InvalidInput):
-        compress_step(net, parts, plan, _fast_cfg(), 1, make_rng(52))
+        compress_step(net, parts, plan, _fast_cfg(), 1, make_rng(52), acc)
 
 
 # ------------------------------------------------------------------ run_loop
@@ -355,6 +357,30 @@ def test_run_loop_rollback_on_accuracy_floor():
     assert history[0].acc_after_finetune < 1.0
     assert [l.out_dim for l in out.layers] == widths_before
     assert not any(l.frozen for l in out.layers)
+
+
+def test_final_accuracy_equals_a_fresh_forward():
+    # run_loop's caller reads the result's accuracy from the history instead
+    # of running the validation split again; both give the same float.
+    parts = _task_parts(seed=120)
+    net, acc = _warmed_net(parts, seed=121)
+    val = parts[1]
+    assert acc == accuracy(net, val.x, val.y)
+    starved = DistillConfig(max_epochs=1, accuracy_threshold=0.99,
+                            batch_size=32, lr=0.0)
+    cases = [(CompressionPlan(layer_order=[0], quantile=0.7), _fast_cfg()),
+             (CompressionPlan(layer_order=[0], quantile=0.9, accuracy_floor=1.0),
+              starved),  # k = 2 of 32: the fine-tuned accuracy drops
+             (CompressionPlan(layer_order=[]), _fast_cfg())]
+    outcomes = []
+    for plan, cfg in cases:
+        out, history = run_loop(net, parts, plan, cfg, make_rng(122), acc)
+        _, history_again = run_loop(net, parts, plan, cfg, make_rng(122))
+        assert history_again == history  # acc given = acc computed
+        assert final_accuracy(history, plan, acc) == accuracy(out, val.x, val.y)
+        outcomes.append([(rolled_back(r, plan), r.acc_after_finetune == r.acc_before)
+                         for r in history])
+    assert outcomes == [[(False, False)], [(True, False)], []]
 
 
 # ---------------------------------------------------------- quantile_ablation

@@ -163,6 +163,15 @@ def test_eig_sym_nonfinite_is_numerical_failure():
             eig_sym(np.full((3, 3), np.nan), vectors=vectors)
 
 
+def test_eig_sym_nan_does_not_hide_an_asymmetry():
+    a = np.eye(3)
+    a[0, 1] = 5.0
+    a[2, 2] = np.nan
+    for vectors in (True, False):
+        with pytest.raises(InvalidInput, match="not symmetric"):
+            eig_sym(a, vectors=vectors)
+
+
 def test_covariance_is_exactly_symmetric():
     x = np.random.default_rng(17).normal(size=(70, 150))
     cov = compute_covariance(x)
