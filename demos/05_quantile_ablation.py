@@ -4,7 +4,8 @@
 The sigma2 fit starts from a quantile of the eigenvalue list.  Higher
 quantiles raise the fitted noise floor, push the bulk edge up, keep fewer
 spike directions, and therefore compress harder.  This sweep reruns the
-whole compression loop once per quantile from identical initial conditions.
+whole compression loop once per quantile, every run from the same
+warmed-up network and its known accuracy.
 """
 from rmtkd import (CompressionPlan, DistillConfig, SplitSpec, init_network,
                    make_rng, normal, planted_subspace_task, quantile_ablation,
@@ -25,7 +26,7 @@ print(f"shared baseline accuracy: {base_acc:.4f}\n")
 
 grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 plan = CompressionPlan(layer_order=[0])
-rows = quantile_ablation(net.copy, parts, grid, plan, cfg, seed=3)
+rows = quantile_ablation(net, base_acc, parts, grid, plan, cfg, seed=3)
 
 print("quantile  reduction  final_acc")
 for qv, acc, red in rows:

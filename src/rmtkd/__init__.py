@@ -23,9 +23,9 @@ from .reducer import (CompressionPlan, IterationRecord, Projection,
                       analyse_layer, apply_projection, build_projection,
                       compress_step, quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal
-from .spectral import (ActivationMatrix, HistogramFit, MPModel, Spectrum,
-                       SpectralPartition, bbp_threshold, classify,
-                       compute_covariance, eig_sym, fit_sigma2, init_sigma2,
-                       mp_bulk_edges, mp_density, wigner_semicircle_density)
+from .spectral import (HistogramFit, MPModel, Spectrum, SpectralPartition,
+                       bbp_threshold, classify, compute_covariance, eig_sym,
+                       fit_sigma2, init_sigma2, mp_bulk_edges, mp_density,
+                       wigner_semicircle_density)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .data import SplitSpec, load_csv, planted_subspace_task, split
 from .distill import DistillConfig, train_until
@@ -45,11 +45,12 @@ _TASK_KEYS = {
 }
 _PLANTED_DEFAULTS = {"input_dim": 32, "intrinsic_dim": 8, "num_classes": 10,
                      "n_samples": 5000, "noise_sigma": 0.3, "margin": 0.3}
-_DISTILL_KEYS = {"alpha", "lr", "momentum", "batch_size", "max_epochs",
-                 "accuracy_threshold"}
-_PLAN_KEYS = {"layer_order", "quantile", "accuracy_floor"}
-_SPLIT_KEYS = {"train_fraction", "calibration_fraction"}
-_INT_KEYS = {"batch_size", "max_epochs"}  # else numbers
+# Each section's keys are its dataclass's fields; the split seed is derived.
+_DISTILL_KEYS = {f.name for f in fields(DistillConfig)}
+_PLAN_KEYS = {f.name for f in fields(CompressionPlan)}
+_SPLIT_KEYS = {f.name for f in fields(SplitSpec)} - {"seed"}
+_INT_KEYS = {f.name for cls in (DistillConfig, CompressionPlan, SplitSpec)
+             for f in fields(cls) if f.type is int} - {"seed"}  # else numbers
 _TOP_KEYS = {"task", "widths", "distill", "plan", "split", "seed", "output_dir"}
 
 
@@ -200,10 +201,7 @@ def build_task(cfg):
 
 
 def _split_parts(cfg, ds):
-    spec = SplitSpec(train_fraction=cfg.split_spec.train_fraction,
-                     calibration_fraction=cfg.split_spec.calibration_fraction,
-                     seed=derive_seed(cfg.seed, "split"))
-    return split(ds, spec)
+    return split(ds, replace(cfg.split_spec, seed=derive_seed(cfg.seed, "split")))
 
 
 def _warm_up(cfg, parts, log_rows=None):
@@ -242,6 +240,11 @@ def _checkpoint_bytes(net, metrics):
     return save_checkpoint(Checkpoint(network=net, metrics=metrics))
 
 
+def training_log_csv(log_rows):
+    return "epoch,train_loss,ce_term,kl_term,val_accuracy\n" + "".join(
+        row + "\n" for row in log_rows)
+
+
 def history_csv(history):
     lines = ["iteration,layer_id,d,k,sigma2,lambda_plus,acc_before,"
              "acc_after_finetune,params_before,params_after"]
@@ -259,8 +262,7 @@ def cmd_train(cfg):
     net, epochs, acc = _warm_up(cfg, parts, log_rows)
     trainable, frozen = param_count(net)
     staged = {
-        "training_log.csv": "epoch,train_loss,ce_term,kl_term,val_accuracy\n"
-                            + "".join(row + "\n" for row in log_rows),
+        "training_log.csv": training_log_csv(log_rows),
         "checkpoint.rmtk": _checkpoint_bytes(net, {
             "val_accuracy": acc, "epochs_used": epochs,
             "trainable_params": trainable,
@@ -313,8 +315,7 @@ def cmd_compress(cfg):
         "steps": len(history),
     }
     staged = {
-        "training_log.csv": "epoch,train_loss,ce_term,kl_term,val_accuracy\n"
-                            + "".join(row + "\n" for row in log_rows),
+        "training_log.csv": training_log_csv(log_rows),
         "history.csv": history_csv(history),
         "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
         "checkpoint.rmtk": _checkpoint_bytes(net, {
@@ -330,9 +331,9 @@ def cmd_compress(cfg):
 def cmd_ablate(cfg, grid):
     parts = _split_parts(cfg, build_task(cfg))
     check_calibration_rank(cfg.widths, parts[2].x.shape[1], cfg.plan, grid)
-    baseline, _, _ = _warm_up(cfg, parts)
-    rows = quantile_ablation(baseline.copy, parts, grid, cfg.plan, cfg.distill,
-                             seed=derive_seed(cfg.seed, "ablate"))
+    baseline, _, base_acc = _warm_up(cfg, parts)
+    rows = quantile_ablation(baseline, base_acc, parts, grid, cfg.plan,
+                             cfg.distill, seed=derive_seed(cfg.seed, "ablate"))
     lines = ["quantile,final_accuracy,reduction_fraction"]
     for qv, acc, red in rows:
         lines.append(f"{qv!r},{acc!r},{red!r}")

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import GenerationFailure, InvalidInput, ParseError, SchemaError
 from .rng import BLOCK, make_rng, normal, normal_draws
-from .spectral import ActivationMatrix
 
 GAP_TOL = 1e-9  # relative to |z|; far above the rounding of a score difference
 # A CSV feature cell: ASCII decimal with optional sign, point and exponent.
@@ -64,7 +63,7 @@ def sample_noise_matrix(d, n, sigma2, seed):
     if sigma2 <= 0:
         raise InvalidInput("sigma2 must be positive")
     rng = make_rng(seed)
-    return ActivationMatrix(entries=normal(rng, (d, n), std=math.sqrt(sigma2)))
+    return normal(rng, (d, n), std=math.sqrt(sigma2))
 
 
 def sample_spiked(d, n, sigma2, spikes, seed):
@@ -72,7 +71,8 @@ def sample_spiked(d, n, sigma2, spikes, seed):
 
     ``spikes`` is a list of (theta, direction-or-None); supplied directions
     must be mutually orthonormal, missing ones are drawn orthonormal to the
-    rest.  Returns ``(ActivationMatrix, directions)``, directions as rows.
+    rest.  Returns ``(x, directions)``: the d x n samples, and the
+    directions as rows.
     """
     if sigma2 <= 0:
         raise InvalidInput("sigma2 must be positive")
@@ -116,7 +116,7 @@ def sample_spiked(d, n, sigma2, spikes, seed):
     for j in range(k):
         scale = math.sqrt(sigma2 + thetas[j]) - math.sqrt(sigma2)
         x = x + scale * np.outer(directions[j], directions[j] @ z)
-    return ActivationMatrix(entries=x), directions
+    return x, directions
 
 
 def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,

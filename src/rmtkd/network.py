@@ -10,14 +10,14 @@ never updated.
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorruptFile, InvalidInput, VersionMismatch
 
 CHECKPOINT_MAGIC = b"RMTK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -51,7 +51,6 @@ class Network:
     layers: list
     input_dim: int
     num_classes: int
-    history: list = field(default_factory=list)  # (layer_id, d, k) events
 
     def __post_init__(self):
         self.check_dims()
@@ -74,7 +73,6 @@ class Network:
                     for l in self.layers],
             input_dim=self.input_dim,
             num_classes=self.num_classes,
-            history=list(self.history),
         )
 
 
@@ -204,7 +202,6 @@ def save_checkpoint(cp):
     header = {
         "input_dim": cp.network.input_dim,
         "num_classes": cp.network.num_classes,
-        "history": [list(h) for h in cp.network.history],
         "layers": [
             {
                 "out": l.out_dim,
@@ -249,11 +246,6 @@ def load_checkpoint(path):
         off += hlen
         if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
             raise CorruptFile(f"{path}: header has no list of layers")
-        history = header["history"]
-        if not (isinstance(history, list) and all(
-                isinstance(h, list) and len(h) == 3 and all(type(v) is int for v in h)
-                for h in history)):
-            raise CorruptFile(f"{path}: history must be a list of [layer_id, d, k]")
         dims = (header["input_dim"], header["num_classes"])
         if not all(_is_positive_int(dim) for dim in dims):
             raise CorruptFile(f"{path}: input_dim and num_classes {dims!r} are not positive integers")
@@ -286,8 +278,7 @@ def load_checkpoint(path):
                                      activation=spec["activation"], frozen=spec["frozen"]))
         if off != len(blob):
             raise CorruptFile(f"{path}: {len(blob) - off} trailing bytes after the weights")
-        net = Network(layers=layers, input_dim=dims[0], num_classes=dims[1],
-                      history=[tuple(h) for h in history])
+        net = Network(layers=layers, input_dim=dims[0], num_classes=dims[1])
         metrics = dict(header["metrics"])
     except (KeyError, TypeError, ValueError, struct.error, InvalidInput) as e:
         raise CorruptFile(f"{path}: {e}") from e

@@ -93,7 +93,7 @@ def apply_projection(net, proj):
     if not 0 <= i < len(net.layers) - 1:
         raise InvalidInput(f"layer {i} is not a hidden layer")
     target = net.layers[i]
-    k, d = proj.matrix.shape
+    d = proj.matrix.shape[1]
     if target.out_dim != d:
         raise InvalidInput(f"layer {i} outputs {target.out_dim}, projection expects {d}")
     if net.layers[i + 1].frozen:
@@ -104,7 +104,6 @@ def apply_projection(net, proj):
     out.layers.insert(i + 1, p_layer)
     down = out.layers[i + 2]
     down.weights = down.weights @ proj.matrix.T
-    out.history.append((i, d, k))
     out.check_dims()
     return out
 
@@ -269,25 +268,22 @@ def final_accuracy(history, plan, acc):
     return last.acc_before if rolled_back(last, plan) else last.acc_after_finetune
 
 
-def quantile_ablation(net_factory, data, quantile_grid, plan, cfg, seed=0):
-    """One full run_loop per quantile from identical initial conditions.
+def quantile_ablation(net, acc, data, quantile_grid, plan, cfg, seed=0):
+    """One full run_loop per quantile, every cell from the same network.
 
-    ``net_factory()`` must return a fresh, identically-initialized (and
-    warmed-up) network for every cell.  Returns a list of
-    ``(quantile, final_accuracy, reduction_fraction)`` rows, one per grid
-    value, in grid order.
+    ``net`` is the warmed-up network and ``acc`` its validation accuracy;
+    run_loop never mutates its input, so each cell starts from ``net``
+    itself.  Returns a list of ``(quantile, final_accuracy,
+    reduction_fraction)`` rows, one per grid value, in grid order.
     """
     if len(quantile_grid) == 0:
         raise InvalidInput("quantile grid is empty")
-    _, val_part, _ = data
+    base_params, _ = param_count(net)
     rows = []
     for qv in quantile_grid:
-        cell_net = net_factory()
-        base_params, _ = param_count(cell_net)
         cell_plan = replace(plan, quantile=float(qv))
         cell_rng = make_rng(derive_seed(seed, f"ablate-{float(qv)!r}"))
-        acc = accuracy(cell_net, val_part.x, val_part.y)
-        out_net, history = run_loop(cell_net, data, cell_plan, cfg, cell_rng, acc)
+        out_net, history = run_loop(net, data, cell_plan, cfg, cell_rng, acc)
         trainable, _ = param_count(out_net)
         rows.append((
             float(qv),

@@ -27,24 +27,6 @@ SYM_TILE = 128
 
 
 @dataclass
-class ActivationMatrix:
-    """Captured activations, shape d x n (features x samples)."""
-
-    entries: np.ndarray
-    layer_id: int = 0
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2:
-            raise InvalidInput("activation matrix must be 2-D")
-        d, n = self.entries.shape
-        if d < 1 or n < 2:
-            raise InvalidInput(f"need d >= 1 and n >= 2, got {d}x{n}")
-        if not np.all(np.isfinite(self.entries)):
-            raise InvalidInput("activation matrix has non-finite entries")
-
-
-@dataclass
 class Spectrum:
     """Eigenvalues of an activation covariance, sorted descending."""
 
@@ -106,14 +88,12 @@ class HistogramFit:
 
 @dataclass
 class SpectralPartition:
-    """Bulk/spike split of a spectrum.
+    """Bulk/spike split of a descending spectrum: the first k are spikes.
 
     ``spike_eigenvectors`` has orthonormal rows, row i paired with
-    spike_indices[i].
+    eigenvalue i.
     """
 
-    spike_indices: list
-    bulk_indices: list
     spike_eigenvectors: np.ndarray  # None for a values-only partition
     k: int
     eigenvalues: np.ndarray  # full, descending
@@ -134,7 +114,7 @@ def compute_covariance(x):
     strided one is copied first), NumPy computes ``a @ a.T`` with a
     symmetric rank-k update and mirrors one triangle.
     """
-    a = x.entries if isinstance(x, ActivationMatrix) else np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] < 2:
         raise InvalidInput("expected a d x n matrix with n >= 2")
     if not np.all(np.isfinite(a)):
@@ -351,23 +331,23 @@ def classify(spectrum, eigenvectors, model):
     """Split a spectrum into bulk and spikes against a fitted MP model.
 
     Spikes are eigenvalues strictly greater than the model's lambda_plus
-    (ties count as bulk -- conservative on retained directions).  k may be
-    0; the compression loop treats that as a skip.  ``eigenvectors`` may be
-    None (a values-only spectrum); the partition then carries no vectors.
+    (ties count as bulk -- conservative on retained directions).  The
+    eigenvalues must be sorted descending, as :func:`eig_sym` returns them,
+    so the spikes are the first k; an unsorted spectrum is InvalidInput.
+    k may be 0; the compression loop treats that as a skip.
+    ``eigenvectors`` may be None (a values-only spectrum); the partition
+    then carries no vectors.
     """
     lam = np.asarray(spectrum.eigenvalues, dtype=np.float64)
+    if np.any(np.diff(lam) > 0):
+        raise InvalidInput("spectrum eigenvalues are not sorted descending")
     if eigenvectors is not None:
         eigenvectors = np.asarray(eigenvectors, dtype=np.float64)
         if eigenvectors.shape != (lam.size, lam.size):
             raise InvalidInput("eigenvector matrix shape does not match spectrum")
-    spike_mask = lam > model.lambda_plus
-    spike_indices = [int(i) for i in np.nonzero(spike_mask)[0]]
-    bulk_indices = [int(i) for i in np.nonzero(~spike_mask)[0]]
+    k = int(np.count_nonzero(lam > model.lambda_plus))
     return SpectralPartition(
-        spike_indices=spike_indices,
-        bulk_indices=bulk_indices,
-        spike_eigenvectors=(None if eigenvectors is None
-                            else eigenvectors[spike_indices].copy()),
-        k=len(spike_indices),
+        spike_eigenvectors=None if eigenvectors is None else eigenvectors[:k].copy(),
+        k=k,
         eigenvalues=lam,
     )

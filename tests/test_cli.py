@@ -333,7 +333,27 @@ def test_exit_1_spectrum_on_v1_checkpoint(tmp_path, capsys):
     cfgp = _write_config(tmp_path, _base_config(out))
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
     err = capsys.readouterr().err
-    assert "format version 1, expected 2" in err and "Traceback" not in err
+    assert "format version 1, expected 3" in err and "Traceback" not in err
+
+
+def test_exit_1_spectrum_on_v2_checkpoint(tmp_path, capsys):
+    # a version 2 file, whose header also listed each step's (layer, d, k),
+    # is refused as such
+    out = tmp_path / "o"
+    out.mkdir()
+    net = init_network([32], 16, 3, lambda shape: np.zeros(shape))
+    blob = save_checkpoint(Checkpoint(network=net, metrics={}))
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:end])
+    header["history"] = []
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    (out / "checkpoint.rmtk").write_bytes(
+        blob[:4] + struct.pack("<I", 2) + struct.pack("<I", len(raw)) + raw
+        + blob[end:])
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "format version 2, expected 3" in err and "Traceback" not in err
 
 
 def test_exit_1_spectrum_on_non_finite_checkpoint(tmp_path, capsys):
@@ -613,8 +633,10 @@ def test_compress_outputs_and_rerun_bit_identical(tmp_path):
     assert 1 <= k < 32
 
     cp = load_checkpoint(out_a / "checkpoint.rmtk")
-    assert any(l.frozen for l in cp.network.layers)
-    assert cp.network.history == [(0, 32, k)]
+    assert [l.weights.shape for l in cp.network.layers if l.frozen] == [(k, 32)]
+    blob = (out_a / "checkpoint.rmtk").read_bytes()
+    header = json.loads(blob[12:12 + struct.unpack("<I", blob[8:12])[0]])
+    assert "history" not in header
 
     for name in ("summary.json", "history.csv", "training_log.csv",
                  "checkpoint.rmtk"):

@@ -31,17 +31,17 @@ def test_splitspec_validates_fractions():
 # ------------------------------------------------------------------ sampling
 
 def test_noise_matrix_shape_and_variance():
-    am = sample_noise_matrix(50, 4000, 2.0, seed=0)
-    assert am.entries.shape == (50, 4000)
-    assert abs(am.entries.var() - 2.0) < 0.1
+    x = sample_noise_matrix(50, 4000, 2.0, seed=0)
+    assert x.shape == (50, 4000)
+    assert abs(x.var() - 2.0) < 0.1
 
 
 def test_noise_matrix_deterministic():
     a = sample_noise_matrix(10, 20, 1.0, seed=1)
     b = sample_noise_matrix(10, 20, 1.0, seed=1)
     c = sample_noise_matrix(10, 20, 1.0, seed=2)
-    assert np.array_equal(a.entries, b.entries)
-    assert not np.array_equal(a.entries, c.entries)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_spiked_directions_are_orthonormal():
@@ -53,12 +53,12 @@ def test_spiked_directions_are_orthonormal():
 def test_spiked_respects_supplied_direction():
     v = np.zeros(10)
     v[0] = 1.0
-    am, dirs = sample_spiked(10, 50000, 1.0, [(9.0, v)], seed=4)
+    x, dirs = sample_spiked(10, 50000, 1.0, [(9.0, v)], seed=4)
     assert np.array_equal(dirs[0], v)
     # coordinate 0 variance should be sigma2 + theta = 10, the rest ~1
-    var0 = am.entries[0].var()
+    var0 = x[0].var()
     assert abs(var0 - 10.0) < 0.5
-    assert abs(am.entries[1:].var() - 1.0) < 0.05
+    assert abs(x[1:].var() - 1.0) < 0.05
 
 
 def test_spiked_rejects_nonorthonormal_directions():

@@ -383,7 +383,6 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
                                     activation="identity", frozen=True))
     net.layers[2].weights = net.layers[2].weights[:, :3]
     net.check_dims()
-    net.history.append((0, 5, 3))
     cp = Checkpoint(network=net, metrics={"val_accuracy": 0.87, "epochs": 4})
     p1 = tmp_path / "a.rmtk"
     p2 = tmp_path / "b.rmtk"
@@ -392,7 +391,7 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
     p2.write_bytes(save_checkpoint(back))
     assert p1.read_bytes() == p2.read_bytes()
     assert back.metrics == cp.metrics
-    assert back.network.history == [(0, 5, 3)]
+    assert back.network.layers[1].weights.shape == (3, 5)  # the step's k x d
     for a, b in zip(net.layers, back.network.layers):
         assert np.array_equal(a.weights, b.weights)
         assert (a.bias is None) == (b.bias is None)
@@ -401,13 +400,15 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
         assert a.frozen == b.frozen and a.activation == b.activation
 
 
-def test_checkpoint_v2_layout():
-    # magic, version 2, header length, JSON header, then only the raw weights
+def test_checkpoint_v3_layout():
+    # magic, version 3, header length, JSON header, then only the raw weights
     net = init_network([3], 2, 2, _rnd_normal(7))
     blob = save_checkpoint(Checkpoint(network=net, metrics={"val_accuracy": 0.5}))
-    assert blob[:4] == b"RMTK" and struct.unpack("<I", blob[4:8])[0] == 2
+    assert blob[:4] == b"RMTK" and struct.unpack("<I", blob[4:8])[0] == 3
     hlen = struct.unpack("<I", blob[8:12])[0]
-    assert json.loads(blob[12:12 + hlen])["metrics"] == {"val_accuracy": 0.5}
+    header = json.loads(blob[12:12 + hlen])
+    assert set(header) == {"input_dim", "num_classes", "layers", "metrics"}
+    assert header["metrics"] == {"val_accuracy": 0.5}
     assert blob[12 + hlen:] == b"".join(a.astype("<f8").tobytes()
                                         for l in net.layers for a in (l.weights, l.bias))
 
@@ -421,14 +422,14 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_version_mismatch(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(7))
-    cp = Checkpoint(network=net, metrics={})
+    blob = save_checkpoint(Checkpoint(network=net, metrics={}))
     p = tmp_path / "v.rmtk"
-    p.write_bytes(save_checkpoint(cp))
-    blob = bytearray(p.read_bytes())
-    blob[4] = 1  # a version 1 file, which still held the generator state
-    p.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatch):
-        load_checkpoint(p)
+    # version 1 still held the generator state, version 2 a step history
+    for version in (1, 2):
+        p.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(VersionMismatch) as ei:
+            load_checkpoint(p)
+        assert f"format version {version}, expected 3" in str(ei.value)
 
 
 def test_checkpoint_truncation(tmp_path):
@@ -470,8 +471,6 @@ def _set(key, value, layer=None):
     (_set("num_classes", True), "input_dim and num_classes"),
     (_set("frozen", "no", layer=0), "must be true or false"),
     (_set("has_bias", 1, layer=0), "must be true or false"),
-    (_set("history", [[0, 3]]), "history"),
-    (_set("history", 5), "history"),
     (_set("input_dim", 9), "expects input"),
     (_set("activation", "tanh", layer=1), "unknown activation"),
     (_set("metrics", 5), ""),

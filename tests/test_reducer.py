@@ -70,8 +70,6 @@ def _toy_partition(k_spikes, d=6):
     vecs = np.eye(d)
     lam = np.arange(d, 0, -1).astype(np.float64)
     return SpectralPartition(
-        spike_indices=list(range(k_spikes)),
-        bulk_indices=list(range(k_spikes, d)),
         spike_eigenvectors=vecs[:k_spikes],
         k=k_spikes,
         eigenvalues=lam,
@@ -138,9 +136,9 @@ def test_apply_projection_structure():
     assert ins.frozen and ins.bias is None and ins.activation == "identity"
     assert np.array_equal(ins.weights, p)
     assert np.allclose(out.layers[2].weights, old_down @ p.T)
-    assert out.history == [(0, 8, 4)]
+    assert ins.weights.shape == (4, 8)  # the frozen layer records k x d
     # the original network is untouched
-    assert len(net.layers) == 3 and net.history == []
+    assert len(net.layers) == 3
     assert np.array_equal(net.layers[1].weights, old_down)
 
 
@@ -204,7 +202,10 @@ def test_analyse_layer_values_only_keeps_k():
     spec_v, model_v, part_v, _ = analyse_layer(net, cal_x, 0, 0.7, vectors=False)
     assert part_v.spike_eigenvectors is None
     assert part.spike_eigenvectors.shape == (part.k, 32)
-    assert (part_v.k, part_v.spike_indices) == (part.k, part.spike_indices)
+    assert part_v.k == part.k
+    lam = part.eigenvalues
+    assert np.all(lam[:part.k] > model.lambda_plus)
+    assert np.all(lam[part.k:] <= model.lambda_plus)
     assert abs(model_v.sigma2 - model.sigma2) <= 1e-12 * model.sigma2
     scale = spec.eigenvalues[0]
     assert np.max(np.abs(spec_v.eigenvalues - spec.eigenvalues)) <= 1e-12 * scale
@@ -279,7 +280,8 @@ def test_compress_step_reduces_and_records():
     assert rec.acc_after_finetune >= rec.acc_before - 0.1
     tr, fr = param_count(new_net)
     assert tr == rec.params_after and fr == rec.k * rec.d
-    assert new_net.history == [(0, 32, rec.k)]
+    inserted = new_net.layers[1]
+    assert inserted.frozen and inserted.weights.shape == (rec.k, rec.d)
     # transactional: the input network is untouched
     for w, l in zip(before, net.layers):
         assert np.array_equal(w, l.weights)
@@ -295,7 +297,7 @@ def test_compress_step_skip_on_pure_noise():
     l1 = DenseLayer(weights=normal(rng, (3, d)) * 0.1, bias=np.zeros(3),
                     activation="identity")
     net = Network(layers=[l0, l1], input_dim=d, num_classes=3)
-    noise = sample_noise_matrix(d, n, 1.0, seed=41).entries
+    noise = sample_noise_matrix(d, n, 1.0, seed=41)
     labels = np.zeros(n, dtype=np.int64)
     labels[: n // 3] = 1
     part = Dataset(x=noise, y=labels, num_classes=3)
@@ -387,10 +389,10 @@ def test_final_accuracy_equals_a_fresh_forward():
 
 def test_quantile_ablation_rows_and_reuse():
     parts = _task_parts(seed=100)
-    net, _ = _warmed_net(parts, seed=101)
+    net, acc = _warmed_net(parts, seed=101)
     plan = CompressionPlan(layer_order=[0])
     grid = [0.3, 0.7]
-    rows = quantile_ablation(net.copy, parts, grid, plan, _fast_cfg(),
+    rows = quantile_ablation(net, acc, parts, grid, plan, _fast_cfg(),
                              seed=102)
     assert [r[0] for r in rows] == grid
     for _, acc, red in rows:
@@ -402,7 +404,39 @@ def test_quantile_ablation_rows_and_reuse():
 
 def test_quantile_ablation_empty_grid():
     parts = _task_parts(seed=110)
-    net, _ = _warmed_net(parts, seed=111)
+    net, acc = _warmed_net(parts, seed=111)
     with pytest.raises(InvalidInput):
-        quantile_ablation(net.copy, parts, [], CompressionPlan(layer_order=[0]),
+        quantile_ablation(net, acc, parts, [], CompressionPlan(layer_order=[0]),
                           _fast_cfg())
+
+
+def test_quantile_ablation_measures_only_fine_tune_epochs(monkeypatch):
+    # Every cell starts from the given network and its known accuracy: the
+    # only validation passes are the fine-tune epochs', and the shared
+    # network is never mutated.
+    from rmtkd import distill
+    parts = _task_parts(seed=130)
+    net, acc = _warmed_net(parts, seed=131)
+    before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
+    accuracy_calls, epochs = [], []
+
+    def counting_accuracy(*args, **kwargs):
+        accuracy_calls.append(1)
+        return accuracy(*args, **kwargs)
+
+    def recording_train_until(*args, **kwargs):
+        result = train_until(*args, **kwargs)
+        epochs.append(result[1])
+        return result
+
+    monkeypatch.setattr(distill, "accuracy", counting_accuracy)
+    monkeypatch.setattr(reducer, "accuracy", counting_accuracy)
+    monkeypatch.setattr(reducer, "train_until", recording_train_until)
+    plan = CompressionPlan(layer_order=[0])
+    rows = quantile_ablation(net, acc, parts, [0.3, 0.5, 0.7], plan,
+                             _fast_cfg(), seed=132)
+    assert len(rows) == 3 and len(epochs) == 3
+    assert len(accuracy_calls) == sum(epochs)
+    assert len(net.layers) == 2
+    for (w, b), layer in zip(before, net.layers):
+        assert np.array_equal(w, layer.weights) and np.array_equal(b, layer.bias)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from rmtkd.data import sample_noise_matrix, sample_spiked
 from rmtkd.errors import DegenerateSpectrum, InvalidInput, NumericalFailure
-from rmtkd.spectral import (SYM_TILE, ActivationMatrix, MPModel, Spectrum,
+from rmtkd.spectral import (SYM_TILE, MPModel, Spectrum,
                             _exactly_symmetric, bbp_threshold, classify,
                             compute_covariance, eig_sym, fit_sigma2,
                             init_sigma2, mp_bulk_edges, mp_density,
@@ -50,7 +50,9 @@ def test_covariance_rejects_nonfinite():
 
 def test_activation_matrix_validates_shape():
     with pytest.raises(InvalidInput):
-        ActivationMatrix(entries=np.ones((3, 1)))  # n must be >= 2
+        compute_covariance(np.ones((3, 1)))  # n must be >= 2
+    with pytest.raises(InvalidInput):
+        compute_covariance(np.ones(3))  # a d x n matrix, not a vector
 
 
 # ------------------------------------------------------------------- eig_sym
@@ -396,8 +398,6 @@ def _partition(eigs, n, sigma2):
 def test_classify_simple_threshold():
     # lambda_plus = 2.25 for sigma2=1, q=0.25
     part = _partition([3.0, 2.0, 1.0], n=12, sigma2=1.0)
-    assert part.spike_indices == [0]
-    assert part.bulk_indices == [1, 2]
     assert part.k == 1
     assert np.array_equal(part.spike_eigenvectors, np.eye(3)[:1])
 
@@ -405,7 +405,7 @@ def test_classify_simple_threshold():
 def test_classify_no_spikes():
     part = _partition([2.0, 1.0, 0.5], n=12, sigma2=1.0)
     assert part.k == 0
-    assert part.bulk_indices == [0, 1, 2]
+    assert part.spike_eigenvectors.shape == (0, 3)
 
 
 def test_classify_ties_are_bulk():
@@ -422,9 +422,26 @@ def test_classify_without_eigenvectors():
     full = classify(spec, np.eye(4), model)
     part = classify(spec, None, model)
     assert part.spike_eigenvectors is None
-    assert (part.k, part.spike_indices, part.bulk_indices) == (
-        full.k, full.spike_indices, full.bulk_indices)
-    assert part.k == 2
+    assert part.k == full.k == 2
+    assert np.array_equal(full.spike_eigenvectors, np.eye(4)[:2])
+
+
+def test_classify_rejects_unsorted_spectrum():
+    # the spikes are taken as the first k rows, so an ascending spectrum
+    # would silently pair the wrong vectors with the large eigenvalues
+    with pytest.raises(InvalidInput, match="not sorted descending"):
+        _partition([1.0, 2.0, 3.0], n=12, sigma2=1.0)
+
+
+def test_classify_first_k_rows_equal_fancy_indexing():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(30, 200))
+    spec, vecs = eig_sym(compute_covariance(a), n_samples=200)
+    model = MPModel(sigma2=0.5, q=spec.q)  # edge 0.96: several spikes
+    part = classify(spec, vecs, model)
+    spikes = np.nonzero(spec.eigenvalues > model.lambda_plus)[0]
+    assert 0 < part.k == spikes.size < 30
+    assert part.spike_eigenvectors.tobytes() == vecs[spikes].tobytes()
 
 
 def test_classify_three_planted_spikes_monte_carlo():
