@@ -37,7 +37,7 @@ am, dirs = sample_spiked(d, n, sigma2, [(t, None) for t in strengths], seed=7)
 spectrum, vecs = eig_sym(compute_covariance(am), n_samples=n)
 s2_star, _ = fit_sigma2(spectrum, init_sigma2(spectrum, 0.5))
 part = classify(spectrum, vecs, MPModel(sigma2=s2_star, q=spectrum.q))
-print(f"k = {part.k}, top eigenvalues {np.round(part.eigenvalues[:4], 2)}")
+print(f"k = {part.k}, top eigenvalues {np.round(spectrum.eigenvalues[:4], 2)}")
 cos = np.abs(part.spike_eigenvectors @ dirs.T)
 for i in range(part.k):
     j = int(np.argmax(cos[i]))

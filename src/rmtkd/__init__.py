@@ -14,14 +14,14 @@ from .distill import (DistillConfig, accuracy, combined_loss, kl_divergence,
                       snapshot_teacher, softmax, train_until)
 from .errors import (AlreadyProjected, ConfigError, CorruptFile,
                      DegenerateSpectrum, GenerationFailure, InvalidInput,
-                     NoSpikes, NumericalFailure, ParseError, RmtkdError,
-                     SchemaError, VersionMismatch)
+                     NumericalFailure, ParseError, RmtkdError, SchemaError,
+                     VersionMismatch)
 from .network import (Checkpoint, DenseLayer, Network, backward, forward,
                       init_network, load_checkpoint, param_count,
                       save_checkpoint, sgd_step)
 from .reducer import (CompressionPlan, IterationRecord, Projection,
-                      analyse_layer, apply_projection, build_projection,
-                      compress_step, quantile_ablation, run_loop)
+                      analyse_layer, apply_projection, compress_step,
+                      quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal
 from .spectral import (HistogramFit, MPModel, Spectrum, SpectralPartition,
                        bbp_threshold, classify, compute_covariance, eig_sym,

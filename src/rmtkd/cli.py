@@ -23,16 +23,16 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 from .data import SplitSpec, load_csv, planted_subspace_task, split
-from .distill import DistillConfig, train_until
+from .distill import TRAINING_LOG_HEADER, DistillConfig, train_until
 from .errors import ConfigError, InvalidInput, RmtkdError
 from .network import (Checkpoint, init_network, load_checkpoint, param_count,
                       save_checkpoint)
-from .reducer import (CompressionPlan, _hidden_layer_index, analyse_layer,
-                      check_calibration_rank, final_accuracy, quantile_ablation,
-                      run_loop)
+from .reducer import (CompressionPlan, IterationRecord, _hidden_layer_index,
+                      analyse_layer, check_calibration_rank, final_accuracy,
+                      quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal
 from .spectral import spectrum_to_csv
 
@@ -241,18 +241,15 @@ def _checkpoint_bytes(net, metrics):
 
 
 def training_log_csv(log_rows):
-    return "epoch,train_loss,ce_term,kl_term,val_accuracy\n" + "".join(
-        row + "\n" for row in log_rows)
+    return "".join(row + "\n" for row in [TRAINING_LOG_HEADER, *log_rows])
 
 
 def history_csv(history):
-    lines = ["iteration,layer_id,d,k,sigma2,lambda_plus,acc_before,"
-             "acc_after_finetune,params_before,params_after"]
-    for r in history:
-        lines.append(
-            f"{r.iteration},{r.layer_id},{r.d},{r.k},{r.sigma2!r},{r.lambda_plus!r},"
-            f"{r.acc_before!r},{r.acc_after_finetune!r},{r.params_before},{r.params_after}"
-        )
+    """IterationRecord's fields as columns and each value's repr as a cell;
+    the record holds Python ints and floats (a NumPy 2 scalar's repr reads
+    ``np.float64(x)``)."""
+    lines = [",".join(f.name for f in fields(IterationRecord))]
+    lines += [",".join(map(repr, astuple(r))) for r in history]
     return "\n".join(lines) + "\n"
 
 

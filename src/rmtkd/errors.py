@@ -17,10 +17,6 @@ class NumericalFailure(RmtkdError):
     """An underlying numerical routine failed to converge."""
 
 
-class NoSpikes(RmtkdError):
-    """A spectrum has no eigenvalues above the bulk edge; nothing to retain."""
-
-
 class AlreadyProjected(RmtkdError):
     """The target layer is already followed by a projection layer."""
 

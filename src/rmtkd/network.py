@@ -18,6 +18,9 @@ from .errors import CorruptFile, InvalidInput, VersionMismatch
 
 CHECKPOINT_MAGIC = b"RMTK"
 CHECKPOINT_VERSION = 3
+# The exact keys of the JSON header and of each of its layer specs.
+HEADER_KEYS = {"input_dim", "num_classes", "layers", "metrics"}
+LAYER_KEYS = {"out", "in", "activation", "frozen", "has_bias"}
 
 
 @dataclass
@@ -202,16 +205,9 @@ def save_checkpoint(cp):
     header = {
         "input_dim": cp.network.input_dim,
         "num_classes": cp.network.num_classes,
-        "layers": [
-            {
-                "out": l.out_dim,
-                "in": l.in_dim,
-                "activation": l.activation,
-                "frozen": l.frozen,
-                "has_bias": l.bias is not None,
-            }
-            for l in cp.network.layers
-        ],
+        "layers": [{"out": l.out_dim, "in": l.in_dim, "activation": l.activation,
+                    "frozen": l.frozen, "has_bias": l.bias is not None}
+                   for l in cp.network.layers],
         "metrics": {k: cp.metrics[k] for k in sorted(cp.metrics)},
     }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -226,6 +222,14 @@ def save_checkpoint(cp):
 
 def _is_positive_int(value):
     return type(value) is int and value >= 1  # a JSON true is not a dimension
+
+
+def _check_keys(path, where, given, expected):
+    """CorruptFile naming the first key missing from, or foreign to, ``expected``."""
+    odd = sorted(set(given) ^ expected)
+    if odd:
+        kind = "no" if odd[0] in expected else "unknown"
+        raise CorruptFile(f"{path}: {where} has {kind} key {odd[0]!r}")
 
 
 def load_checkpoint(path):
@@ -246,6 +250,9 @@ def load_checkpoint(path):
         off += hlen
         if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
             raise CorruptFile(f"{path}: header has no list of layers")
+        _check_keys(path, "header", header, HEADER_KEYS)
+        if not isinstance(header["metrics"], dict):
+            raise CorruptFile(f"{path}: metrics {header['metrics']!r} is not an object")
         dims = (header["input_dim"], header["num_classes"])
         if not all(_is_positive_int(dim) for dim in dims):
             raise CorruptFile(f"{path}: input_dim and num_classes {dims!r} are not positive integers")
@@ -253,6 +260,7 @@ def load_checkpoint(path):
         for spec in header["layers"]:
             if not isinstance(spec, dict):
                 raise CorruptFile(f"{path}: layer spec {spec!r} is not an object")
+            _check_keys(path, f"layer spec {len(layers)}", spec, LAYER_KEYS)
             out, inp = spec["out"], spec["in"]
             if not all(_is_positive_int(dim) for dim in (out, inp)):
                 raise CorruptFile(f"{path}: layer dims {out!r} x {inp!r} are not positive integers")
@@ -279,7 +287,7 @@ def load_checkpoint(path):
         if off != len(blob):
             raise CorruptFile(f"{path}: {len(blob) - off} trailing bytes after the weights")
         net = Network(layers=layers, input_dim=dims[0], num_classes=dims[1])
-        metrics = dict(header["metrics"])
+        metrics = header["metrics"]
     except (KeyError, TypeError, ValueError, struct.error, InvalidInput) as e:
         raise CorruptFile(f"{path}: {e}") from e
     return Checkpoint(network=net, metrics=metrics)

@@ -1,11 +1,12 @@
-"""Projection construction, layer surgery, and the compression loop.
+"""Layer analysis, projection surgery, and the compression loop.
 
-One compression step: snapshot the current model as teacher, capture
-calibration activations at the target layer, fit the noise bulk of their
-covariance spectrum, keep the eigen-directions above the bulk edge, insert
-that projection as a frozen layer, warm-start the downstream layer at the
-reduced width, and fine-tune against the teacher.  The loop walks the
-planned layers in order and stops early on an accuracy floor (with rollback).
+One compression step: capture calibration activations at the target layer,
+fit the noise bulk of their covariance spectrum and keep the eigen-directions
+above the bulk edge (analyse), insert that projection as a frozen layer and
+warm-start the downstream layer at the reduced width (project), then
+fine-tune against a frozen snapshot of the pre-step model (distill).  The loop
+walks the planned layers in order and stops early on an accuracy floor (with
+rollback).
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distill import accuracy, snapshot_teacher, train_until
-from .errors import AlreadyProjected, DegenerateSpectrum, InvalidInput, NoSpikes
+from .errors import AlreadyProjected, DegenerateSpectrum, InvalidInput
 from .network import DenseLayer, Network, forward, param_count
 from .rng import derive_seed, make_rng
 from .spectral import (SYM_TOL, MPModel, classify, compute_covariance,
@@ -61,24 +62,6 @@ class IterationRecord:
     acc_after_finetune: float
     params_before: int
     params_after: int
-
-
-def build_projection(partition, layer_id):
-    """Projection onto the spike subspace.
-
-    Rows are the spike eigenvectors in descending eigenvalue order.  Raises
-    NoSpikes when the partition has no spikes at all, and InvalidInput when
-    it carries no eigenvectors.
-    """
-    if partition.spike_eigenvectors is None:
-        raise InvalidInput("partition has no eigenvectors to project onto")
-    if partition.k == 0:
-        raise NoSpikes("no eigenvalues above the bulk edge")
-    return Projection(
-        matrix=partition.spike_eigenvectors,
-        layer_id=layer_id,
-        retained_eigenvalues=[float(v) for v in partition.eigenvalues[:partition.k]],
-    )
 
 
 def apply_projection(net, proj):
@@ -182,7 +165,7 @@ def check_calibration_rank(widths, n, plan, quantiles):
 
 
 def compress_step(net, data, plan, cfg, layer_id, rng, acc_before, iteration=0):
-    """One train -> analyse -> project -> fine-tune cycle at ``layer_id``.
+    """One analyse -> project -> fine-tune step at ``layer_id``.
 
     ``data`` is the (train, val, calibration) triple; ``layer_id`` indexes
     the current network's layers and must name a non-frozen hidden layer.
@@ -195,33 +178,19 @@ def compress_step(net, data, plan, cfg, layer_id, rng, acc_before, iteration=0):
     train_part, val_part, cal_part = data
     spectrum, model, partition, _ = analyse_layer(net, cal_part.x, layer_id,
                                                   plan.quantile)
-    params_before, _ = param_count(net)
-
-    d = spectrum.d
-    try:
-        proj = build_projection(partition, layer_id)
-    except NoSpikes:
-        record = IterationRecord(
-            iteration=iteration, layer_id=layer_id, d=d, k=d,
-            sigma2=model.sigma2, lambda_plus=model.lambda_plus,
-            acc_before=acc_before, acc_after_finetune=acc_before,
-            params_before=params_before, params_after=params_before,
-        )
-        return net, record
-
-    teacher = snapshot_teacher(net)
-    new_net = apply_projection(net, proj)
-    new_net, _, acc_after = train_until(
-        new_net, (train_part, val_part), cfg, teacher=teacher, rng=rng
-    )
-    params_after, _ = param_count(new_net)
-    record = IterationRecord(
-        iteration=iteration, layer_id=layer_id, d=d, k=proj.matrix.shape[0],
-        sigma2=model.sigma2, lambda_plus=model.lambda_plus,
-        acc_before=acc_before, acc_after_finetune=acc_after,
-        params_before=params_before, params_after=params_after,
-    )
-    return new_net, record
+    new_net, acc_after = net, acc_before
+    if partition.k:
+        proj = Projection(partition.spike_eigenvectors, layer_id,
+                          [float(v) for v in spectrum.eigenvalues[:partition.k]])
+        new_net, _, acc_after = train_until(
+            apply_projection(net, proj), (train_part, val_part), cfg,
+            teacher=snapshot_teacher(net), rng=rng)
+    return new_net, IterationRecord(
+        iteration=iteration, layer_id=layer_id, d=spectrum.d,
+        k=partition.k or spectrum.d, sigma2=model.sigma2,
+        lambda_plus=model.lambda_plus, acc_before=acc_before,
+        acc_after_finetune=acc_after, params_before=param_count(net)[0],
+        params_after=param_count(new_net)[0])
 
 
 def rolled_back(record, plan):

@@ -90,13 +90,12 @@ class HistogramFit:
 class SpectralPartition:
     """Bulk/spike split of a descending spectrum: the first k are spikes.
 
-    ``spike_eigenvectors`` has orthonormal rows, row i paired with
-    eigenvalue i.
+    ``spike_eigenvectors`` has orthonormal rows, row i paired with the
+    spectrum's eigenvalue i.
     """
 
     spike_eigenvectors: np.ndarray  # None for a values-only partition
     k: int
-    eigenvalues: np.ndarray  # full, descending
 
 
 def spectrum_to_csv(spectrum):
@@ -346,8 +345,5 @@ def classify(spectrum, eigenvectors, model):
         if eigenvectors.shape != (lam.size, lam.size):
             raise InvalidInput("eigenvector matrix shape does not match spectrum")
     k = int(np.count_nonzero(lam > model.lambda_plus))
-    return SpectralPartition(
-        spike_eigenvectors=None if eigenvectors is None else eigenvectors[:k].copy(),
-        k=k,
-        eigenvalues=lam,
-    )
+    spikes = None if eigenvectors is None else eigenvectors[:k].copy()
+    return SpectralPartition(spike_eigenvectors=spikes, k=k)

@@ -22,7 +22,7 @@ from rmtkd.data import Dataset, save_csv
 from rmtkd.errors import ConfigError
 from rmtkd.network import (Checkpoint, init_network, load_checkpoint,
                            save_checkpoint)
-from rmtkd.reducer import check_calibration_rank
+from rmtkd.reducer import IterationRecord, check_calibration_rank
 from rmtkd.rng import make_rng, normal
 
 
@@ -354,6 +354,37 @@ def test_exit_1_spectrum_on_v2_checkpoint(tmp_path, capsys):
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
     err = capsys.readouterr().err
     assert "format version 2, expected 3" in err and "Traceback" not in err
+
+
+def test_exit_1_spectrum_on_checkpoint_with_unknown_header_key(tmp_path, capsys):
+    # a version 3 file whose header still lists the old step history
+    out = tmp_path / "o"
+    out.mkdir()
+    net = init_network([32], 16, 3, lambda shape: np.zeros(shape))
+    blob = save_checkpoint(Checkpoint(network=net, metrics={}))
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:end])
+    header["history"] = []
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    cp = out / "checkpoint.rmtk"
+    cp.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[end:])
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    err = capsys.readouterr().err
+    assert f"{cp}: header has unknown key 'history'" in err and "Traceback" not in err
+
+
+def test_history_csv_exact_text():
+    # one column per IterationRecord field, in field order, values as repr
+    rec = IterationRecord(iteration=1, layer_id=2, d=64, k=17, sigma2=0.1,
+                          lambda_plus=1 / 3, acc_before=0.962,
+                          acc_after_finetune=0.987, params_before=6922,
+                          params_after=5620)
+    assert cli.history_csv([rec, rec]) == (
+        "iteration,layer_id,d,k,sigma2,lambda_plus,acc_before,"
+        "acc_after_finetune,params_before,params_after\n"
+        + "1,2,64,17,0.1,0.3333333333333333,0.962,0.987,6922,5620\n" * 2)
+    assert cli.history_csv([]) == cli.history_csv([rec]).splitlines(True)[0]
 
 
 def test_exit_1_spectrum_on_non_finite_checkpoint(tmp_path, capsys):

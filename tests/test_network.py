@@ -474,6 +474,14 @@ def _set(key, value, layer=None):
     (_set("input_dim", 9), "expects input"),
     (_set("activation", "tanh", layer=1), "unknown activation"),
     (_set("metrics", 5), ""),
+    # the header's key sets are exact, and metrics is a JSON object
+    (lambda h: {**h, "history": []}, "header has unknown key 'history'"),
+    (lambda h: {**h, "metrcs": {}}, "header has unknown key 'metrcs'"),
+    (lambda h: {k: v for k, v in h.items() if k != "metrics"},
+     "header has no key 'metrics'"),
+    (_set("bias", True, layer=1), "layer spec 1 has unknown key 'bias'"),
+    (_set("metrics", [["val_accuracy", 0.5]]),
+     "metrics [['val_accuracy', 0.5]] is not an object"),
 ])
 def test_checkpoint_malformed_header(tmp_path, edit, why):
     net = init_network([3], 2, 2, _rnd_normal(8))

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,16 +8,15 @@ from rmtkd import reducer
 from rmtkd.data import (Dataset, SplitSpec, planted_subspace_task,
                         sample_noise_matrix, sample_spiked, split)
 from rmtkd.distill import DistillConfig, accuracy, train_until
-from rmtkd.errors import AlreadyProjected, InvalidInput, NoSpikes
+from rmtkd.errors import AlreadyProjected, InvalidInput
 from rmtkd.network import (DenseLayer, Network, forward, init_network,
                            param_count)
 from rmtkd.reducer import (CompressionPlan, Projection, _hidden_layer_index,
-                           analyse_layer, apply_projection, build_projection, compress_step,
+                           analyse_layer, apply_projection, compress_step,
                            final_accuracy, quantile_ablation, rolled_back, run_loop)
 from rmtkd.rng import make_rng, normal
-from rmtkd.spectral import (MPModel, SpectralPartition, Spectrum, classify,
-                            compute_covariance, eig_sym, fit_sigma2,
-                            init_sigma2)
+from rmtkd.spectral import (MPModel, classify, compute_covariance, eig_sym,
+                            fit_sigma2, init_sigma2)
 
 
 def _task_parts(seed=0):
@@ -64,51 +64,19 @@ def test_plan_validation():
         CompressionPlan(layer_order=[0], quantile=1.5)
 
 
-# ----------------------------------------------------------- build_projection
+# ------------------------------------------------------------- spike vectors
 
-def _toy_partition(k_spikes, d=6):
-    vecs = np.eye(d)
-    lam = np.arange(d, 0, -1).astype(np.float64)
-    return SpectralPartition(
-        spike_eigenvectors=vecs[:k_spikes],
-        k=k_spikes,
-        eigenvalues=lam,
-    )
-
-
-def test_build_projection_spike_rows():
-    proj = build_projection(_toy_partition(2), layer_id=1)
-    assert proj.matrix.shape == (2, 6)
-    assert np.array_equal(proj.matrix, np.eye(6)[:2])
-    assert proj.retained_eigenvalues == [6.0, 5.0]
-    assert proj.layer_id == 1
-
-
-def test_build_projection_no_spikes():
-    with pytest.raises(NoSpikes):
-        build_projection(_toy_partition(0), layer_id=0)
-
-
-def test_build_projection_rejects_values_only_partition():
-    lam = np.arange(6, 0, -1).astype(np.float64)
-    spec = Spectrum(eigenvalues=lam, d=6, n=24)
-    part = classify(spec, None, MPModel(sigma2=1.0, q=spec.q))
-    assert part.k > 0
-    with pytest.raises(InvalidInput):
-        build_projection(part, layer_id=0)
-
-
-def test_build_projection_recovers_planted_direction():
-    # single spike at 10x the noise floor: the leading projection row should
-    # align with the planted direction almost every seed
+def test_spike_eigenvectors_recover_planted_direction():
+    # single spike at 10x the noise floor: the leading spike eigenvector
+    # (the projection's first row) should align with the planted direction
+    # almost every seed
     hits = 0
     for seed in range(20):
         am, dirs = sample_spiked(50, 1000, 1.0, [(10.0, None)], seed=200 + seed)
         part = _partition_from(am, 1000)
         if part.k == 0:
             continue
-        proj = build_projection(part, layer_id=0)
-        hits += abs(proj.matrix[0] @ dirs[0]) >= 0.9
+        hits += abs(part.spike_eigenvectors[0] @ dirs[0]) >= 0.9
     assert hits >= 19
 
 
@@ -203,7 +171,7 @@ def test_analyse_layer_values_only_keeps_k():
     assert part_v.spike_eigenvectors is None
     assert part.spike_eigenvectors.shape == (part.k, 32)
     assert part_v.k == part.k
-    lam = part.eigenvalues
+    lam = spec.eigenvalues
     assert np.all(lam[:part.k] > model.lambda_plus)
     assert np.all(lam[part.k:] <= model.lambda_plus)
     assert abs(model_v.sigma2 - model.sigma2) <= 1e-12 * model.sigma2
@@ -264,14 +232,31 @@ def test_analyse_layer_frees_activations_before_eigensolve(monkeypatch):
 
 # -------------------------------------------------------------- compress_step
 
-def test_compress_step_reduces_and_records():
+def test_compress_step_reduces_and_records(monkeypatch):
     parts = _task_parts(seed=30)
     net, base_acc = _warmed_net(parts, seed=31)
     assert base_acc >= 0.9
     before = [l.weights.copy() for l in net.layers]
     plan = CompressionPlan(layer_order=[0], quantile=0.7)
+    _, _, part, _ = analyse_layer(net, parts[2].x, 0, plan.quantile)
+    seen = {}
+
+    def spy(student, data, cfg, teacher=None, rng=None):
+        # the student as projected, before the fine-tune updates it
+        seen["down"] = student.layers[2].weights.copy()
+        seen["teacher"] = teacher
+        return train_until(student, data, cfg, teacher=teacher, rng=rng)
+
+    monkeypatch.setattr(reducer, "train_until", spy)
     new_net, rec = compress_step(net, parts, plan, _fast_cfg(), 0,
                                  make_rng(32), base_acc)
+    p = part.spike_eigenvectors
+    assert rec.k == part.k and p.shape == (rec.k, rec.d)
+    assert new_net.layers[1].weights.tobytes() == p.tobytes()  # frozen: untrained
+    assert seen["down"].tobytes() == (net.layers[1].weights @ p.T).tobytes()
+    teacher = seen["teacher"]
+    assert all(l.frozen for l in teacher.layers)
+    assert all(np.array_equal(t.weights, w) for t, w in zip(teacher.layers, before))
     assert rec.acc_before == base_acc == accuracy(net, parts[1].x, parts[1].y)
     assert rec.d == 32 and 1 <= rec.k < rec.d
     assert rec.sigma2 > 0 and rec.lambda_plus > 0
@@ -288,7 +273,8 @@ def test_compress_step_reduces_and_records():
     assert len(net.layers) == 2
 
 
-def test_compress_step_skip_on_pure_noise():
+def _pure_noise_step():
+    """compress_step on an all-bulk layer: (input net, result net, record)."""
     # identity first layer over isotropic inputs: its activation spectrum is
     # all bulk, so the step must skip without touching the network
     d, n = 16, 400
@@ -302,12 +288,34 @@ def test_compress_step_skip_on_pure_noise():
     labels[: n // 3] = 1
     part = Dataset(x=noise, y=labels, num_classes=3)
     plan = CompressionPlan(layer_order=[0], quantile=0.5)
+    assert analyse_layer(net, noise, 0, plan.quantile)[2].k == 0
     acc = accuracy(net, part.x, part.y)
     new_net, rec = compress_step(net, (part, part, part), plan, _fast_cfg(),
                                  0, make_rng(42), acc)
-    assert rec.k == rec.d == d
-    assert rec.params_after == rec.params_before
+    assert rec.acc_before == acc
+    return net, new_net, rec
+
+
+def test_compress_step_skip_on_pure_noise():
+    net, new_net, rec = _pure_noise_step()
     assert new_net is net
+    assert rec.k == rec.d == 16
+    assert rec.params_after == rec.params_before
+    assert rec.acc_after_finetune == rec.acc_before
+
+
+def test_compress_step_records_python_numbers():
+    # history.csv writes each value's repr, and NumPy 2 prints a NumPy
+    # scalar's repr as np.float64(x); an applied step and a skipped one
+    parts = _task_parts(seed=140)
+    net, acc = _warmed_net(parts, seed=141)
+    _, applied = compress_step(net, parts, CompressionPlan(layer_order=[0], quantile=0.7),
+                               _fast_cfg(), 0, make_rng(142), acc)
+    _, _, skipped = _pure_noise_step()
+    assert applied.k < applied.d and skipped.k == skipped.d
+    for rec in (applied, skipped):
+        for f in fields(rec):
+            assert type(getattr(rec, f.name)) is f.type, (f.name, getattr(rec, f.name))
 
 
 def test_compress_step_rejects_frozen_or_final_layer():
