@@ -15,8 +15,9 @@ from rmtkd.reducer import (CompressionPlan, Projection, _hidden_layer_index,
                            analyse_layer, apply_projection, compress_step,
                            final_accuracy, quantile_ablation, rolled_back, run_loop)
 from rmtkd.rng import make_rng, normal
-from rmtkd.spectral import (MPModel, classify, compute_covariance, eig_sym,
-                            fit_sigma2, init_sigma2)
+from rmtkd.spectral import (MPModel, SpectralPartition, Spectrum, classify,
+                            compute_covariance, eig_sym, fit_sigma2,
+                            init_sigma2)
 
 
 def _task_parts(seed=0):
@@ -78,6 +79,66 @@ def test_spike_eigenvectors_recover_planted_direction():
             continue
         hits += abs(part.spike_eigenvectors[0] @ dirs[0]) >= 0.9
     assert hits >= 19
+
+
+# ---------------------------------------------- projection inside compress_step
+
+def _toy_step(monkeypatch, k_spikes, d=6):
+    """compress_step on layer 1 with analyse_layer stubbed to a toy spectrum
+    of eigenvalues d..1 whose first ``k_spikes`` are spikes along the axes.
+
+    Returns (input net, result net, record, projections handed to
+    apply_projection, number of train_until calls).
+    """
+    lam = np.arange(d, 0, -1).astype(np.float64)
+    spectrum = Spectrum(eigenvalues=lam, d=d, n=24)
+    part = SpectralPartition(spike_eigenvectors=np.eye(d)[:k_spikes],
+                             k=k_spikes)
+    monkeypatch.setattr(
+        reducer, "analyse_layer",
+        lambda net, x, layer_id, quantile:
+            (spectrum, MPModel(sigma2=1.0, q=spectrum.q), part, None))
+    projections, fits = [], []
+
+    def spy_apply(net, proj):
+        projections.append(proj)
+        return apply_projection(net, proj)
+
+    def stub_train(student, data, cfg, teacher=None, rng=None):
+        fits.append(student)
+        return student, [], 0.5
+
+    monkeypatch.setattr(reducer, "apply_projection", spy_apply)
+    monkeypatch.setattr(reducer, "train_until", stub_train)
+    net = init_network([8, d], 5, 3, lambda s: normal(make_rng(3), s))
+    parts = _task_parts(seed=0)
+    new_net, rec = compress_step(net, parts, CompressionPlan(layer_order=[1]),
+                                 _fast_cfg(), 1, make_rng(4), 0.75)
+    return net, new_net, rec, projections, len(fits)
+
+
+def test_build_projection_spike_rows(monkeypatch):
+    # the projection compress_step builds: the spike eigenvectors as rows,
+    # the leading eigenvalues as the retained ones, the analysed layer's id
+    _, new_net, rec, projections, fits = _toy_step(monkeypatch, 2)
+    assert len(projections) == 1 and fits == 1
+    proj = projections[0]
+    assert proj.matrix.shape == (2, 6)
+    assert np.array_equal(proj.matrix, np.eye(6)[:2])
+    assert proj.retained_eigenvalues == [6.0, 5.0]
+    assert proj.layer_id == 1
+    assert np.array_equal(new_net.layers[2].weights, proj.matrix)
+    assert rec.k == 2 and rec.d == 6 and rec.acc_after_finetune == 0.5
+
+
+def test_build_projection_no_spikes(monkeypatch):
+    # no spikes: no projection is built, nothing is fine-tuned, and the
+    # input network comes back as a recorded skip with k = d
+    net, new_net, rec, projections, fits = _toy_step(monkeypatch, 0)
+    assert projections == [] and fits == 0
+    assert new_net is net
+    assert rec.k == rec.d == 6
+    assert rec.acc_after_finetune == rec.acc_before == 0.75
 
 
 # ----------------------------------------------------------- apply_projection
