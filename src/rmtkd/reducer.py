@@ -99,15 +99,44 @@ def _hidden_layer_index(net, ordinal):
     return hidden[ordinal]
 
 
+class _LayerRows:
+    """Row source of layer ``layer_id``'s output on ``cal_x``, for
+    :func:`compute_covariance`.
+
+    The layers before it run once, at construction.  ``rows[i:j]`` runs
+    ``forward`` on the layer restricted to weight and bias rows i:j, so the
+    full d x n output never exists; the rows are the same bits.
+    """
+
+    def __init__(self, net, layer_id, cal_x):
+        self.layer = net.layers[layer_id]
+        self.x = cal_x
+        if layer_id:
+            prefix = Network(layers=net.layers[:layer_id], input_dim=net.input_dim,
+                             num_classes=self.layer.in_dim)
+            self.x, _ = forward(prefix, cal_x, keep_acts=False)
+        self.shape = (self.layer.out_dim,) + np.shape(self.x)[1:]
+
+    def __getitem__(self, rows):
+        layer = self.layer
+        part = DenseLayer(weights=layer.weights[rows],
+                          bias=None if layer.bias is None else layer.bias[rows],
+                          activation=layer.activation)
+        out, _ = forward(Network(layers=[part], input_dim=part.in_dim,
+                                 num_classes=part.out_dim), self.x, keep_acts=False)
+        return out
+
+
 def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
     """Fit the noise bulk of one layer's calibration spectrum.
 
     ``layer_id`` indexes ``net.layers`` and must name a non-frozen hidden
-    layer; ``cal_x`` is the dim x n calibration batch.  Captures the layer's
-    activations by running only the layers up to it, eigendecomposes their
-    covariance (the activations are freed first, so they never share memory
-    with the eigensolver's copy), fits sigma2 from the ``quantile`` init and
-    splits the spectrum at the fitted bulk edge.
+    layer; ``cal_x`` is the dim x n calibration batch.  Runs the layers
+    before it once, then builds the covariance of the layer's activations
+    from blocks of rows recomputed on demand (:class:`_LayerRows`), so the
+    whole d x n activation never exists beside it; eigendecomposes that
+    covariance, fits sigma2 from the ``quantile`` init and splits the
+    spectrum at the fitted bulk edge.
     Returns ``(spectrum, model, partition, fit)``.  With ``vectors=False``
     only eigenvalues are computed and the partition carries no vectors.
 
@@ -117,11 +146,9 @@ def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
     """
     if not 0 <= layer_id < len(net.layers) - 1 or net.layers[layer_id].frozen:
         raise InvalidInput(f"layer {layer_id} is not a reducible hidden layer")
-    prefix = Network(layers=net.layers[:layer_id + 1], input_dim=net.input_dim,
-                     num_classes=net.layers[layer_id].out_dim)
-    x, _ = forward(prefix, cal_x, keep_acts=False)
+    x = _LayerRows(net, layer_id, cal_x)
     cov, n = compute_covariance(x), x.shape[1]
-    del x
+    del x  # the prefix's output, so it never shares memory with the eigensolver's copy
     spectrum, vecs = eig_sym(cov, n_samples=n, vectors=vectors)
     s2_init = init_sigma2(spectrum, quantile)
     floor = SYM_TOL * spectrum.clamped[0]

@@ -24,6 +24,9 @@ SYM_TOL = 1e-8
 # Side of the square tiles the exact-symmetry test compares with their
 # mirrors; a tile pair stays in cache where a whole a.T pass does not.
 SYM_TILE = 128
+# Rows per block of the covariance; at most two blocks of activations are
+# alive at once.
+COV_BLOCK = 512
 
 
 @dataclass
@@ -109,18 +112,46 @@ def compute_covariance(x):
     """Empirical covariance Sigma = (1/n) X X^T of a d x n activation matrix.
 
     Uncentered: the mean is *not* subtracted, matching the raw second-moment
-    formula.  The result is exactly symmetric: for a contiguous ``a`` (a
-    strided one is copied first), NumPy computes ``a @ a.T`` with a
+    formula.  ``x`` is an array, or a row source: an object with ``.shape
+    == (d, n)`` whose ``x[i:j]`` returns rows i:j as an array, so the d x n
+    matrix need never exist whole.  Either way the covariance is built from
+    blocks of COV_BLOCK rows (d <= COV_BLOCK is one block, one product).
+    Each row of blocks sweeps its off-diagonal blocks from the last one
+    back, and the final one it makes is the next row's diagonal block, so
+    at most two blocks are alive; for b blocks of rows, ``x`` is sliced
+    1 + b (b - 1) / 2 times (7 for d = 2048).  Each block is checked as
+    finite when it is made.
+
+    The result is exactly symmetric: an off-diagonal block is written to
+    both mirrored positions, and for a contiguous block ``a`` (a strided
+    array is copied first) NumPy computes the diagonal ``a @ a.T`` with a
     symmetric rank-k update and mirrors one triangle.
     """
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] < 2:
+    if not hasattr(x, "shape") or hasattr(x, "__array__"):
+        x = np.ascontiguousarray(x, dtype=np.float64)
+    if len(x.shape) != 2 or x.shape[1] < 2:
         raise InvalidInput("expected a d x n matrix with n >= 2")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("non-finite entry in activation matrix")
-    a = np.ascontiguousarray(a)
-    cov = a @ a.T
-    cov /= a.shape[1]
+    d, n = x.shape
+    step = COV_BLOCK
+
+    def block(r):
+        rows = np.ascontiguousarray(x[r:r + step], dtype=np.float64)
+        if not np.all(np.isfinite(rows)):
+            raise InvalidInput("non-finite entry in activation matrix")
+        return rows
+
+    cov = np.empty((d, d))
+    xr = block(0)
+    for r in range(0, d, step):
+        xc = None
+        for c in range((d - 1) // step * step, r, -step):
+            xc = None  # drop the previous block before making the next
+            xc = block(c)
+            cov[r:r + step, c:c + step] = xr @ xc.T
+            cov[c:c + step, r:r + step] = cov[r:r + step, c:c + step].T
+        cov[r:r + step, r:r + step] = xr @ xr.T
+        xr = xc  # block r + step, the next row's diagonal
+    cov /= n
     return cov
 
 

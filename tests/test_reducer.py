@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rmtkd import reducer
+from rmtkd import reducer, spectral
 from rmtkd.data import (Dataset, SplitSpec, planted_subspace_task,
                         sample_noise_matrix, sample_spiked, split)
 from rmtkd.distill import DistillConfig, accuracy, train_until
@@ -15,9 +15,11 @@ from rmtkd.reducer import (CompressionPlan, Projection, _hidden_layer_index,
                            analyse_layer, apply_projection, compress_step,
                            final_accuracy, quantile_ablation, rolled_back, run_loop)
 from rmtkd.rng import make_rng, normal
-from rmtkd.spectral import (MPModel, SpectralPartition, Spectrum, classify,
-                            compute_covariance, eig_sym, fit_sigma2,
+from rmtkd.spectral import (COV_BLOCK, MPModel, SpectralPartition, Spectrum,
+                            classify, compute_covariance, eig_sym, fit_sigma2,
                             init_sigma2)
+
+EPS = np.finfo(np.float64).eps
 
 
 def _task_parts(seed=0):
@@ -241,10 +243,11 @@ def test_analyse_layer_values_only_keeps_k():
 
 
 def _analyse_from_full_forward(net, cal_x, layer_id, quantile):
-    """analyse_layer's pipeline on the activations of a whole-network pass."""
+    """analyse_layer's pipeline on the activations of a whole-network pass,
+    with the covariance as one full product."""
     _, acts = forward(net, cal_x)
     x = acts[layer_id + 1]
-    spec, vecs = eig_sym(compute_covariance(x), n_samples=x.shape[1])
+    spec, vecs = eig_sym(x @ x.T / x.shape[1], n_samples=x.shape[1])
     sigma2, _ = fit_sigma2(spec, init_sigma2(spec, quantile))
     model = MPModel(sigma2=sigma2, q=spec.q)
     return spec, model, classify(spec, vecs, model)
@@ -269,6 +272,94 @@ def test_analyse_layer_matches_full_forward_bits():
             assert model.sigma2 == ref_model.sigma2
             assert part.k == ref_part.k and part.k > 0
             assert np.array_equal(part.spike_eigenvectors, ref_part.spike_eigenvectors)
+    # Layers wider than one block of the covariance: the blocked products
+    # may sum in another order than the full ones (BLAS blocking and
+    # threads), so the spectrum agrees to a bound set from float64's eps.
+    wide = init_network([520, 1100], 16, 3, lambda s: normal(rng, s))
+    wide_x = normal(rng, (16, 2500))
+    for layer_id in (0, 1):
+        spec, model, part, _ = analyse_layer(wide, wide_x, layer_id, 0.5)
+        ref_spec, ref_model, ref_part = _analyse_from_full_forward(
+            wide, wide_x, layer_id, 0.5)
+        assert (spec.d, spec.n) == (ref_spec.d, ref_spec.n)
+        bound = 4 * spec.d * spec.n * EPS * ref_spec.eigenvalues[0]
+        assert np.max(np.abs(spec.eigenvalues - ref_spec.eigenvalues)) <= bound
+        assert part.k == ref_part.k and part.k > 0
+
+
+def test_layer_rows_match_the_full_activation():
+    # d = 1100 over n = 900: three blocks of rows, the last one ragged
+    rng = make_rng(39)
+    net = init_network([1100], 16, 3, lambda s: normal(rng, s))
+    cal_x = normal(rng, (16, 900))
+    _, acts = forward(net, cal_x)
+    x = acts[1]
+    rows = reducer._LayerRows(net, 0, cal_x)
+    assert rows.shape == (1100, 900) and 2 * COV_BLOCK < 1100 < 3 * COV_BLOCK
+    cov = compute_covariance(rows)
+    assert np.array_equal(cov, cov.T)
+    bound = 4 * 900 * EPS * np.max(np.diag(cov))
+    for ref in (compute_covariance(x), x @ x.T / 900):
+        assert np.max(np.abs(cov - ref)) <= bound
+
+
+def test_layer_rows_check_the_last_block():
+    rng = make_rng(40)
+    net = init_network([1100], 16, 3, lambda s: normal(rng, s))
+    net.layers[0].weights[1099, 0] = np.nan  # only the last block's rows
+    with pytest.raises(InvalidInput, match="non-finite"):
+        analyse_layer(net, normal(rng, (16, 900)), 0, 0.5)
+
+
+def test_analyse_layer_without_bias():
+    # a non-frozen hidden layer with no bias is a legal checkpoint layer
+    parts = _task_parts(seed=41)
+    rng = make_rng(42)
+    net = init_network([24, 20], 16, 3, lambda s: normal(rng, s))
+    net.layers[1].bias = None
+    for layer_id in (0, 1):
+        spec, model, part, _ = analyse_layer(net, parts[2].x, layer_id, 0.5)
+        ref_spec, ref_model, ref_part = _analyse_from_full_forward(
+            net, parts[2].x, layer_id, 0.5)
+        assert np.array_equal(spec.eigenvalues, ref_spec.eigenvalues)
+        assert part.k == ref_part.k
+
+
+def test_analyse_layer_makes_one_covariance_of_the_layer_shape(monkeypatch):
+    # perfbench/tracing.py reads the covariance's d x n from its first argument
+    parts = _task_parts(seed=43)
+    rng = make_rng(44)
+    net = init_network([24, 20], 16, 3, lambda s: normal(rng, s))
+    shapes = []
+
+    def spy(x):
+        shapes.append(np.shape(x))
+        return compute_covariance(x)
+
+    monkeypatch.setattr(reducer, "compute_covariance", spy)
+    n = parts[2].x.shape[1]
+    for layer_id, d in ((0, 24), (1, 20)):
+        shapes.clear()
+        analyse_layer(net, parts[2].x, layer_id, 0.5)
+        assert shapes == [(d, n)]
+
+
+def test_analyse_layer_never_holds_the_whole_activation(monkeypatch):
+    # A 512-wide layer over an 8-wide input, with 64-row blocks: the d x n
+    # activation (8 MiB) never exists; the covariance, the eigensolver's
+    # copy of it and two blocks of rows stay below its size.
+    monkeypatch.setattr(spectral, "COV_BLOCK", 64)
+    rng = make_rng(45)
+    net = init_network([512, 8], 8, 3, lambda s: normal(rng, s))
+    cal_x = normal(rng, (8, 2048))
+    full = 512 * 2048 * 8
+    tracemalloc.start()
+    try:
+        analyse_layer(net, cal_x, 0, 0.5, vectors=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full, (peak, full)
 
 
 def test_analyse_layer_frees_activations_before_eigensolve(monkeypatch):

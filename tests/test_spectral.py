@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from rmtkd.data import sample_noise_matrix, sample_spiked
 from rmtkd.errors import DegenerateSpectrum, InvalidInput, NumericalFailure
-from rmtkd.spectral import (SYM_TILE, MPModel, Spectrum,
+from rmtkd.spectral import (COV_BLOCK, SYM_TILE, MPModel, Spectrum,
                             _exactly_symmetric, bbp_threshold, classify,
                             compute_covariance, eig_sym, fit_sigma2,
                             init_sigma2, mp_bulk_edges, mp_density,
@@ -53,6 +54,52 @@ def test_activation_matrix_validates_shape():
         compute_covariance(np.ones((3, 1)))  # n must be >= 2
     with pytest.raises(InvalidInput):
         compute_covariance(np.ones(3))  # a d x n matrix, not a vector
+
+
+class _RowCopies:
+    """A row source over an array: each slice is a fresh copy, and the
+    slices still alive when the next one is asked for are counted."""
+
+    def __init__(self, x):
+        self.x, self.shape = x, x.shape
+        self.made, self.most_alive = [], 0
+
+    def __getitem__(self, rows):
+        alive = sum(ref() is not None for ref in self.made)
+        self.most_alive = max(self.most_alive, alive + 1)
+        out = self.x[rows].copy()
+        self.made.append(weakref.ref(out))
+        return out
+
+
+def _dot_bound(a, b):
+    """Twice the forward-error bound of the length-k dot products in a @ b.T:
+    two summation orders of the same products differ by at most this."""
+    k = a.shape[1]
+    return 2 * k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b).T)
+
+
+def test_blocked_covariance_matches_full_product():
+    # d = 1100 is three blocks of rows, the last one ragged
+    assert 2 * COV_BLOCK < 1100 < 3 * COV_BLOCK
+    x = np.random.default_rng(23).normal(size=(1100, 900))
+    source = _RowCopies(x)
+    from_rows = compute_covariance(source)
+    # a row source and an array take the same products: the same bits
+    assert np.array_equal(from_rows, compute_covariance(x))
+    assert np.array_equal(from_rows, from_rows.T)
+    # the full product may sum in another order (BLAS blocking and threads)
+    assert np.all(np.abs(from_rows - x @ x.T / 900) <= _dot_bound(x, x) / 900)
+    # 1 + b (b - 1) / 2 slices for b = 3 blocks, never more than two alive
+    assert len(source.made) == 4 and source.most_alive == 2
+
+
+def test_blocked_covariance_checks_the_last_block():
+    x = np.random.default_rng(24).normal(size=(1100, 900))
+    x[1099, 5] = np.nan
+    for source in (x, _RowCopies(x)):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            compute_covariance(source)
 
 
 # ------------------------------------------------------------------- eig_sym

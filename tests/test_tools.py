@@ -1,4 +1,5 @@
-"""tools/compare_checkpoints.py: header-only differences pass, payload ones fail."""
+"""tools/compare_checkpoints.py: header-only differences pass, payload ones
+fail; tools/bench_pairs.py: pair wins follow each metric's direction."""
 
 import importlib.util
 import json
@@ -74,3 +75,25 @@ def test_flag_difference_fails(tmp_path):
     old, new = _pair(tmp_path, blob, frozen)
     with pytest.raises(ValueError, match="header 'layers' differs"):
         compare_checkpoints.compare(old, new)
+
+
+_bench_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_bench_spec)
+_bench_spec.loader.exec_module(bench_pairs)
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower"},
+                           {"name": "final_accuracy", "better": "higher"}]}
+    parent = [(150.0, 0.9), (152.0, 0.9), (154.0, 0.9), (156.0, 0.9)]
+    change = [(110.0, 0.9), (160.0, 0.9), (112.0, 0.9), (114.0, 0.95)]
+    runs = [{"parent": dict(zip(("peak_rss_mb", "final_accuracy"), p)),
+             "change": dict(zip(("peak_rss_mb", "final_accuracy"), c))}
+            for p, c in zip(parent, change)]
+    out = bench_pairs.summary(runs, spec)
+    rss, acc = out["peak_rss_mb"], out["final_accuracy"]
+    assert (rss["change_wins"], rss["parent_wins"], rss["ties"]) == (3, 1, 0)
+    assert (acc["change_wins"], acc["parent_wins"], acc["ties"]) == (1, 0, 3)
+    assert rss["parent"] == {"median": 153.0, "q1": 151.5, "q3": 154.5}
+    assert rss["change"]["median"] == 113.0
