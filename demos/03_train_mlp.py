@@ -30,8 +30,7 @@ net, epochs, acc = train_until(net, (train, val), cfg, rng=make_rng(2),
                                log_rows=rows)
 
 print(f"\nepoch  train_loss  val_acc")
-for row in rows:
-    e, loss, _, _, va = row.split(",")
-    print(f"{int(e):5d}  {float(loss):10.4f}  {float(va):7.4f}")
+for e, loss, _, _, va in rows:
+    print(f"{e:5d}  {loss:10.4f}  {va:7.4f}")
 print(f"\nstopped after {epochs} epochs at validation accuracy {acc:.4f}")
 print(f"train accuracy: {accuracy(net, train.x, train.y):.4f}")

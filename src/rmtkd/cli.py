@@ -11,9 +11,12 @@ Four subcommands over a single JSON config:
 * ``ablate``   -- one compression run per quantile in a grid, CSV table out.
 
 Configs are validated strictly (unknown keys are errors) before any work
-starts.  All outputs are written atomically (temp file + rename), and all
-randomness derives from the single top-level seed via tagged sub-seeds, so
-reruns are bit-identical.  Exit codes: 0 success, 1 runtime failure,
+starts.  All outputs are written atomically (temp file + rename) with the
+mode a plain ``open()`` would give under the umask, and all randomness
+derives from the single top-level seed via tagged sub-seeds, so reruns are
+bit-identical.  This module is the only one that turns results into text:
+every CSV table goes through :func:`csv_text` and every JSON file through
+:func:`json_text`.  Exit codes: 0 success, 1 runtime failure,
 2 config/usage error.
 """
 
@@ -23,7 +26,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 from .data import SplitSpec, load_csv, planted_subspace_task, split
 from .distill import TRAINING_LOG_HEADER, DistillConfig, train_until
@@ -34,7 +37,6 @@ from .reducer import (CompressionPlan, IterationRecord, _hidden_layer_index,
                       analyse_layer, check_calibration_rank, final_accuracy,
                       quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal
-from .spectral import spectrum_to_csv
 
 DEFAULT_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -215,8 +217,14 @@ def _warm_up(cfg, parts, log_rows=None):
 
 
 def write_outputs(outdir, staged):
-    """Atomically write {filename: str|bytes}: temp files, then renames."""
+    """Atomically write {filename: str|bytes}: temp files, then renames.
+
+    Each file gets the mode a plain ``open()`` would give, 0o666 less the
+    umask, not the 0o600 of its temp file.
+    """
     os.makedirs(outdir, exist_ok=True)
+    umask = os.umask(0)  # reading the umask means setting it; put it back
+    os.umask(umask)
     tmp_paths = []
     try:
         for name, content in staged.items():
@@ -225,6 +233,7 @@ def write_outputs(outdir, staged):
             tmp_paths.append((tmp, os.path.join(outdir, name)))
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+            os.chmod(tmp, 0o666 & ~umask)
         for tmp, final in tmp_paths:
             os.replace(tmp, final)
     except OSError:
@@ -240,17 +249,16 @@ def _checkpoint_bytes(net, metrics):
     return save_checkpoint(Checkpoint(network=net, metrics=metrics))
 
 
-def training_log_csv(log_rows):
-    return "".join(row + "\n" for row in [TRAINING_LOG_HEADER, *log_rows])
-
-
-def history_csv(history):
-    """IterationRecord's fields as columns and each value's repr as a cell;
-    the record holds Python ints and floats (a NumPy 2 scalar's repr reads
-    ``np.float64(x)``)."""
-    lines = [",".join(f.name for f in fields(IterationRecord))]
-    lines += [",".join(map(repr, astuple(r))) for r in history]
+def csv_text(header, rows):
+    """A CSV table: the column names, then one line per row with each
+    value's repr as a cell.  Rows hold Python ints and floats, whose repr
+    is a plain decimal (a NumPy 2 scalar's reads ``np.float64(x)``)."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_train(cfg):
@@ -259,7 +267,7 @@ def cmd_train(cfg):
     net, epochs, acc = _warm_up(cfg, parts, log_rows)
     trainable, frozen = param_count(net)
     staged = {
-        "training_log.csv": training_log_csv(log_rows),
+        "training_log.csv": csv_text(TRAINING_LOG_HEADER, log_rows),
         "checkpoint.rmtk": _checkpoint_bytes(net, {
             "val_accuracy": acc, "epochs_used": epochs,
             "trainable_params": trainable,
@@ -281,12 +289,15 @@ def cmd_spectrum(cfg, layer_ordinal):
     spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_id,
                                                     cfg.plan.quantile,
                                                     vectors=False)
-    model_json = model.to_json_dict()
-    model_json["k"] = partition.k
+    edges = fit.bin_edges.tolist()
     staged = {
-        "eigenvalues.csv": spectrum_to_csv(spectrum),
-        "histogram_fit.csv": fit.to_csv(),
-        "mp_model.json": json.dumps(model_json, sort_keys=True, indent=2) + "\n",
+        "eigenvalues.csv": csv_text(("index", "eigenvalue"),
+                                    enumerate(spectrum.eigenvalues.tolist())),
+        "histogram_fit.csv": csv_text(
+            ("bin_left", "bin_right", "empirical", "model"),
+            zip(edges[:-1], edges[1:], fit.empirical_density.tolist(),
+                fit.model_density.tolist())),
+        "mp_model.json": json_text({**asdict(model), "k": partition.k}),
     }
     write_outputs(cfg.output_dir, staged)
     return 0
@@ -312,9 +323,10 @@ def cmd_compress(cfg):
         "steps": len(history),
     }
     staged = {
-        "training_log.csv": training_log_csv(log_rows),
-        "history.csv": history_csv(history),
-        "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+        "training_log.csv": csv_text(TRAINING_LOG_HEADER, log_rows),
+        "history.csv": csv_text([f.name for f in fields(IterationRecord)],
+                                map(astuple, history)),
+        "summary.json": json_text(summary),
         "checkpoint.rmtk": _checkpoint_bytes(net, {
             "val_accuracy": final_acc,
             "baseline_accuracy": base_acc,
@@ -331,10 +343,8 @@ def cmd_ablate(cfg, grid):
     baseline, _, base_acc = _warm_up(cfg, parts)
     rows = quantile_ablation(baseline, base_acc, parts, grid, cfg.plan,
                              cfg.distill, seed=derive_seed(cfg.seed, "ablate"))
-    lines = ["quantile,final_accuracy,reduction_fraction"]
-    for qv, acc, red in rows:
-        lines.append(f"{qv!r},{acc!r},{red!r}")
-    write_outputs(cfg.output_dir, {"ablation.csv": "\n".join(lines) + "\n"})
+    table = csv_text(("quantile", "final_accuracy", "reduction_fraction"), rows)
+    write_outputs(cfg.output_dir, {"ablation.csv": table})
     return 0
 
 

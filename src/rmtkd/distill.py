@@ -17,7 +17,7 @@ from .network import backward, forward, sgd_step
 # Floor on student probabilities before a log, in the CE and KL terms.
 EPSILON_PROB = 1e-12
 # Columns of the per-epoch rows train_until appends to ``log_rows``.
-TRAINING_LOG_HEADER = "epoch,train_loss,ce_term,kl_term,val_accuracy"
+TRAINING_LOG_HEADER = ("epoch", "train_loss", "ce_term", "kl_term", "val_accuracy")
 
 
 @dataclass
@@ -142,8 +142,8 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
 
     ``teacher`` is a frozen network from :func:`snapshot_teacher`.  With no
     teacher, alpha is treated as 1 (pure cross-entropy warm-up).
-    ``log_rows``, if given, collects per-epoch CSV rows with the columns
-    of ``TRAINING_LOG_HEADER``.
+    ``log_rows``, if given, collects one tuple of Python numbers per epoch,
+    with the columns of ``TRAINING_LOG_HEADER``.
     """
     train_part, val_part = data
     x, y = np.asarray(train_part.x, dtype=np.float64), np.asarray(train_part.y)
@@ -184,9 +184,7 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
         val_acc = accuracy(net, xv, yv)
         epochs_used = epoch
         if log_rows is not None:
-            log_rows.append(
-                f"{epoch},{loss_sum / nb!r},{ce_sum / nb!r},{kl_sum / nb!r},{val_acc!r}"
-            )
+            log_rows.append((epoch, loss_sum / nb, ce_sum / nb, kl_sum / nb, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
             best_layers = net.copy().layers

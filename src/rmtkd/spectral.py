@@ -57,17 +57,7 @@ class MPModel:
     lambda_plus: float = field(init=False)
 
     def __post_init__(self):
-        if self.sigma2 <= 0 or self.q <= 0:
-            raise InvalidInput("sigma2 and q must be positive")
         self.lambda_minus, self.lambda_plus = mp_bulk_edges(self.sigma2, self.q)
-
-    def to_json_dict(self):
-        return {
-            "sigma2": self.sigma2,
-            "q": self.q,
-            "lambda_minus": self.lambda_minus,
-            "lambda_plus": self.lambda_plus,
-        }
 
 
 @dataclass
@@ -78,15 +68,6 @@ class HistogramFit:
     empirical_density: np.ndarray
     model_density: np.ndarray
     l2_distance: float
-
-    def to_csv(self):
-        lines = ["bin_left,bin_right,empirical,model"]
-        for i in range(len(self.empirical_density)):
-            lines.append(
-                f"{self.bin_edges[i]!r},{self.bin_edges[i + 1]!r},"
-                f"{self.empirical_density[i]!r},{self.model_density[i]!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -99,13 +80,6 @@ class SpectralPartition:
 
     spike_eigenvectors: np.ndarray  # None for a values-only partition
     k: int
-
-
-def spectrum_to_csv(spectrum):
-    lines = ["index,eigenvalue"]
-    for i, lam in enumerate(spectrum.eigenvalues):
-        lines.append(f"{i},{float(lam)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def compute_covariance(x):

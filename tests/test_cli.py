@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import astuple, fields
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -374,17 +375,32 @@ def test_exit_1_spectrum_on_checkpoint_with_unknown_header_key(tmp_path, capsys)
     assert f"{cp}: header has unknown key 'history'" in err and "Traceback" not in err
 
 
-def test_history_csv_exact_text():
-    # one column per IterationRecord field, in field order, values as repr
-    rec = IterationRecord(iteration=1, layer_id=2, d=64, k=17, sigma2=0.1,
+_HISTORY_HEADER = [f.name for f in fields(IterationRecord)]
+_RECORD = IterationRecord(iteration=1, layer_id=2, d=64, k=17, sigma2=0.1,
                           lambda_plus=1 / 3, acc_before=0.962,
                           acc_after_finetune=0.987, params_before=6922,
                           params_after=5620)
-    assert cli.history_csv([rec, rec]) == (
-        "iteration,layer_id,d,k,sigma2,lambda_plus,acc_before,"
-        "acc_after_finetune,params_before,params_after\n"
-        + "1,2,64,17,0.1,0.3333333333333333,0.962,0.987,6922,5620\n" * 2)
-    assert cli.history_csv([]) == cli.history_csv([rec]).splitlines(True)[0]
+_EDGES = np.linspace(0.0, 0.5, 3).tolist()
+_HIST_HEADER = ("bin_left", "bin_right", "empirical", "model")
+
+
+@pytest.mark.parametrize("header, rows, text", [
+    # one column per IterationRecord field, in field order, values as repr
+    (_HISTORY_HEADER, [astuple(_RECORD)] * 2,
+     "iteration,layer_id,d,k,sigma2,lambda_plus,acc_before,"
+     "acc_after_finetune,params_before,params_after\n"
+     + "1,2,64,17,0.1,0.3333333333333333,0.962,0.987,6922,5620\n" * 2),
+    # NumPy arrays through tolist(), as cmd_spectrum builds histogram_fit.csv
+    (_HIST_HEADER, list(zip(_EDGES[:-1], _EDGES[1:],
+                            np.array([1.5, 0.5]).tolist(),
+                            (np.array([1.0, 6.0]) / 3).tolist())),
+     "bin_left,bin_right,empirical,model\n"
+     "0.0,0.25,1.5,0.3333333333333333\n0.25,0.5,0.5,2.0\n"),
+    # no rows: the header line only
+    (_HIST_HEADER, [], "bin_left,bin_right,empirical,model\n"),
+], ids=["history", "histogram", "empty"])
+def test_csv_text_exact(header, rows, text):
+    assert cli.csv_text(header, rows) == text
 
 
 def test_exit_1_spectrum_on_non_finite_checkpoint(tmp_path, capsys):
@@ -750,6 +766,42 @@ def test_write_outputs_atomic_no_droppings(tmp_path):
     assert sorted(os.listdir(out)) == ["a.txt", "b.bin"]
     assert (out / "a.txt").read_text() == "alpha"
     assert (out / "b.bin").read_bytes() == b"\x00\x01"
+
+
+def test_every_csv_cell_is_a_number(tmp_path):
+    # every cell below the header of every CSV the four commands write
+    # parses as a float (a NumPy 2 scalar's repr, np.float64(x), does not)
+    out = tmp_path / "run"
+    cfgp = _write_config(tmp_path, _base_config(out))
+    for argv in (["train"], ["spectrum", "--layer", "0"], ["compress"],
+                 ["ablate", "--quantiles", "0.3,0.7"]):
+        assert main(argv + ["--config", cfgp]) == 0
+    tables = sorted(p for p in os.listdir(out) if p.endswith(".csv"))
+    assert tables == ["ablation.csv", "eigenvalues.csv", "histogram_fit.csv",
+                      "history.csv", "training_log.csv"]
+    for name in tables:
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) >= 2, name
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)  # raises on a non-number, naming the cell
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_outputs_take_the_umask(tmp_path, umask, mode):
+    # each file train writes has the mode open() would give: 0o666 & ~umask
+    out = tmp_path / "run"
+    cfgp = _write_config(tmp_path, _base_config(out))
+    old = os.umask(umask)
+    try:
+        assert main(["train", "--config", cfgp]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(out))
+    assert names == ["checkpoint.rmtk", "training_log.csv"]
+    for name in names:
+        assert (out / name).stat().st_mode & 0o777 == mode, name
 
 
 def _declared_console_script(name):

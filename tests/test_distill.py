@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtkd.data import Dataset
-from rmtkd.distill import (DistillConfig, accuracy, combined_loss,
-                           kl_divergence, snapshot_teacher, softmax,
-                           train_until)
+from rmtkd.distill import (TRAINING_LOG_HEADER, DistillConfig, accuracy,
+                           combined_loss, kl_divergence, snapshot_teacher,
+                           softmax, train_until)
 from rmtkd.errors import InvalidInput
 from rmtkd.network import forward, init_network
 from rmtkd.rng import make_rng, normal
@@ -230,7 +230,7 @@ def test_train_until_returns_best_validation_weights():
     cfg = DistillConfig(max_epochs=10, accuracy_threshold=1.0, batch_size=16)
     rows = []
     net, _, best = train_until(net, (ds, val), cfg, rng=make_rng(9), log_rows=rows)
-    logged = [float(r.split(",")[4]) for r in rows]
+    logged = [r[4] for r in rows]
     assert best == max(logged)
     assert accuracy(net, val.x, val.y) == best
 
@@ -258,9 +258,10 @@ def test_train_until_log_row_format():
     _, epochs, _ = train_until(net, (ds, val), cfg, rng=make_rng(23), log_rows=rows)
     assert len(rows) == epochs >= 1
     for i, row in enumerate(rows, start=1):
-        parts = row.split(",")
-        assert len(parts) == 5 and int(parts[0]) == i
-        [float(p) for p in parts[1:]]  # every field parses
+        # one Python number per TRAINING_LOG_HEADER column, no NumPy scalars
+        assert len(row) == len(TRAINING_LOG_HEADER) == 5 and row[0] == i
+        assert type(row[0]) is int
+        assert all(type(v) is float for v in row[1:])
 
 
 def test_train_until_without_teacher_logs_zero_kl():
@@ -270,7 +271,7 @@ def test_train_until_without_teacher_logs_zero_kl():
     cfg = DistillConfig(max_epochs=1, accuracy_threshold=1.0, alpha=0.2)
     rows = []
     train_until(net, (ds, val), cfg, rng=make_rng(27), log_rows=rows)
-    assert float(rows[0].split(",")[3]) == 0.0
+    assert rows[0][3] == 0.0
 
 
 def test_train_until_distillation_tracks_teacher():
