@@ -19,6 +19,14 @@ from .rng import BLOCK, make_rng, normal, normal_draws
 GAP_TOL = 1e-9  # relative to |z|; far above the rounding of a score difference
 # A CSV feature cell: ASCII decimal with optional sign, point and exponent.
 DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# Columns per block of the planted generator's B z, and rows per step of its
+# in-place column permutation: neither needs a second input_dim x N array.
+BZ_BLOCK = 4096
+PERM_ROWS = 8
+# A gemm over a column block that cuts the BLAS kernel's 8-column tiles, or
+# that ends in a partial tile, can round differently from the whole product
+# (OpenBLAS 0.3.31, Haswell kernels); blocks of whole tiles give its bits.
+TILE = 8
 
 
 @dataclass
@@ -201,12 +209,18 @@ def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,
     ambient = normal(rng, (input_dim - r, n_samples), std=noise_sigma) if input_dim > r \
         else np.zeros((0, n_samples))
     # x = B z + noise, added the other way round (the same bits) so that the
-    # ambient draw is freed before B z is formed
+    # ambient draw is freed first.  B z is added BZ_BLOCK columns at a time
+    # when every block is whole TILEs, else in one product.  The columns are
+    # then permuted in place, a few rows at a time.
     x = complement @ ambient
     del ambient
-    x += basis @ latents
+    step = BZ_BLOCK if n_samples % TILE == 0 else n_samples
+    for a in range(0, n_samples, step):
+        x[:, a:a + step] += basis @ latents[:, a:a + step]
     perm = rng.permutation(n_samples)
-    ds = Dataset(x=x[:, perm], y=labels[perm], num_classes=num_classes,
+    for i in range(0, input_dim, PERM_ROWS):
+        x[i:i + PERM_ROWS] = x[i:i + PERM_ROWS][:, perm]
+    ds = Dataset(x=x, y=labels[perm], num_classes=num_classes,
                  extra={"scorer": scorer, "margin": margin})
     return ds, basis
 

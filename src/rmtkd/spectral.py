@@ -96,10 +96,11 @@ def compute_covariance(x):
     1 + b (b - 1) / 2 times (7 for d = 2048).  Each block is checked as
     finite when it is made.
 
-    The result is exactly symmetric: an off-diagonal block is written to
-    both mirrored positions, and for a contiguous block ``a`` (a strided
-    array is copied first) NumPy computes the diagonal ``a @ a.T`` with a
-    symmetric rank-k update and mirrors one triangle.
+    The result is exactly symmetric: an off-diagonal block is written
+    straight into its place and copied to the mirrored one, and for a
+    contiguous block ``a`` (a strided array is copied first) NumPy computes
+    the diagonal ``a @ a.T`` with a symmetric rank-k update and mirrors one
+    triangle.
     """
     if not hasattr(x, "shape") or hasattr(x, "__array__"):
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -121,7 +122,7 @@ def compute_covariance(x):
         for c in range((d - 1) // step * step, r, -step):
             xc = None  # drop the previous block before making the next
             xc = block(c)
-            cov[r:r + step, c:c + step] = xr @ xc.T
+            np.matmul(xr, xc.T, out=cov[r:r + step, c:c + step])
             cov[c:c + step, r:r + step] = cov[r:r + step, c:c + step].T
         cov[r:r + step, r:r + step] = xr @ xr.T
         xr = xc  # block r + step, the next row's diagonal

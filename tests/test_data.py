@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmtkd import data as data_module
 from rmtkd import rng as rng_module
-from rmtkd.data import (Dataset, SplitSpec, load_csv, planted_subspace_task,
-                        sample_noise_matrix, sample_spiked, save_csv, split)
+from rmtkd.data import (TILE, Dataset, SplitSpec, load_csv,
+                        planted_subspace_task, sample_noise_matrix,
+                        sample_spiked, save_csv, split)
 from rmtkd.errors import (GenerationFailure, InvalidInput, ParseError,
                           SchemaError)
 from rmtkd.rng import make_rng, normal, normal_draws
@@ -201,6 +203,17 @@ def test_planted_task_matches_per_draw_loop(r, margin):
     # With few latent dims and many classes some class's margin region is too
     # small to fill its quota, so the class count grows with r.
     _assert_same_task((r + 5, r, min(r + 1, 4), 400, 0.2, 0), margin)
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_planted_task_blocked_bz_and_permute_match_per_draw_loop(n, monkeypatch):
+    # 1000 columns add B z in ten 96-column blocks and a ragged 40-column one;
+    # 1001 ends in a partial tile, so it stays one product.  21 rows permute
+    # 5 at a time, the last step ragged.
+    monkeypatch.setattr(data_module, "BZ_BLOCK", 96)
+    monkeypatch.setattr(data_module, "PERM_ROWS", 5)
+    assert 96 % TILE == 0 and 1000 % TILE == 0 and 1001 % TILE != 0
+    _assert_same_task((21, 16, 4, n, 0.2, 0), 0.3)
 
 
 def test_planted_task_matches_per_draw_loop_full_rank():

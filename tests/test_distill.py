@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmtkd.data import Dataset
-from rmtkd.distill import (TRAINING_LOG_HEADER, DistillConfig, accuracy,
-                           combined_loss, kl_divergence, snapshot_teacher,
-                           softmax, train_until)
+from rmtkd import distill
+from rmtkd.data import TILE, Dataset
+from rmtkd.distill import (EVAL_BLOCK, TRAINING_LOG_HEADER, DistillConfig,
+                           accuracy, combined_loss, eval_blocks,
+                           kl_divergence, snapshot_teacher, softmax,
+                           train_until)
 from rmtkd.errors import InvalidInput
 from rmtkd.network import forward, init_network
 from rmtkd.rng import make_rng, normal
@@ -185,13 +187,17 @@ def test_accuracy_hand():
     assert accuracy(net, x, np.array([1, 1])) == 0.5
 
 
-def test_accuracy_holds_at_most_two_activations():
+def _wide_net_and_columns(n):
     net = init_network([512, 512, 512], 16, 10, lambda s: normal(make_rng(6), s))
-    rng = make_rng(7)
-    x = normal(rng, (16, 4000))
-    y = np.arange(4000) % 10
+    x = normal(make_rng(7), (16, n))
+    return net, x, np.arange(n) % 10
+
+
+def test_accuracy_holds_at_most_two_activations():
+    net, x, y = _wide_net_and_columns(4000)
     expected = float(np.mean(np.argmax(forward(net, x)[0], axis=0) == y))
-    activation = 512 * 4000 * 8
+    widest = max(b - a for a, b in eval_blocks(4000))
+    block_activation = 512 * widest * 8
     tracemalloc.start()
     try:
         got = accuracy(net, x, y)
@@ -199,7 +205,31 @@ def test_accuracy_holds_at_most_two_activations():
     finally:
         tracemalloc.stop()
     assert got == expected
-    assert peak <= 2 * activation + 2**20, peak  # keeping acts holds three
+    # one pass over all 4000 columns would hold two 512 x 4000 activations
+    assert peak <= 2 * block_activation + 2**20, peak
+
+
+@pytest.mark.parametrize("n", [4000, 1025, 2049])
+def test_blocked_accuracy_equals_one_pass(n):
+    net, x, y = _wide_net_and_columns(n)
+    blocks = eval_blocks(n)
+    assert len(blocks) == math.ceil(n / EVAL_BLOCK) > 1
+    assert min(b - a for a, b in blocks) >= EVAL_BLOCK // 2
+    one_pass = float(np.mean(np.argmax(forward(net, x)[0], axis=0) == y))
+    assert accuracy(net, x, y) == one_pass
+
+
+@pytest.mark.parametrize("block", [16, 96, 1024])
+@pytest.mark.parametrize("n", [1, 7, 8, 500, 1023, 1025, 2047, 2049, 4000, 20003])
+def test_eval_blocks_are_near_equal_and_tile_aligned(n, block, monkeypatch):
+    monkeypatch.setattr(distill, "EVAL_BLOCK", block)
+    blocks = eval_blocks(n)
+    assert len(blocks) == math.ceil(n / block)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+    assert all(b % TILE == 0 for _, b in blocks[:-1])
+    if n > block:
+        assert all(block // 2 <= b - a <= block + TILE - 1 for a, b in blocks)
 
 
 # --------------------------------------------------------------- train_until

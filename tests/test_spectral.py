@@ -94,6 +94,28 @@ def test_blocked_covariance_matches_full_product():
     assert len(source.made) == 4 and source.most_alive == 2
 
 
+def _assign_then_mirror_covariance(x):
+    """compute_covariance's block loop with each off-diagonal product made as
+    a temporary and assigned (the construction before ``matmul(out=...)``)."""
+    d, n = x.shape
+    step = COV_BLOCK
+    cov = np.empty((d, d))
+    for r in range(0, d, step):
+        xr = x[r:r + step].copy()
+        for c in range((d - 1) // step * step, r, -step):
+            cov[r:r + step, c:c + step] = xr @ x[c:c + step].copy().T
+            cov[c:c + step, r:r + step] = cov[r:r + step, c:c + step].T
+        cov[r:r + step, r:r + step] = xr @ xr.T
+    return cov / n
+
+
+def test_blocked_covariance_writes_the_bits_of_assigned_blocks():
+    x = np.random.default_rng(25).normal(size=(1100, 900))
+    want = _assign_then_mirror_covariance(x)
+    assert np.array_equal(compute_covariance(x), want)
+    assert np.array_equal(compute_covariance(_RowCopies(x)), want)
+
+
 def test_blocked_covariance_checks_the_last_block():
     x = np.random.default_rng(24).normal(size=(1100, 900))
     x[1099, 5] = np.nan

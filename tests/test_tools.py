@@ -1,9 +1,11 @@
 """tools/compare_checkpoints.py: header-only differences pass, payload ones
-fail; tools/bench_pairs.py: pair wins follow each metric's direction."""
+fail; tools/bench_pairs.py: pair wins follow each metric's direction, and
+both sides are exported side by side."""
 
 import importlib.util
 import json
 import struct
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,34 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     assert (acc["change_wins"], acc["parent_wins"], acc["ties"]) == (1, 0, 3)
     assert rss["parent"] == {"median": 153.0, "q1": 151.5, "q3": 154.5}
     assert rss["change"]["median"] == 113.0
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_bench_pairs_exports_both_sides_as_siblings(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.py").write_text("")
+    (repo / ".gitignore").write_text("built/\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")  # uncommitted edit
+    (repo / "new.py").write_text("")  # untracked
+    (repo / "gone.py").unlink()  # deleted, not yet committed
+    (repo / "built").mkdir()
+    (repo / "built" / "out.bin").write_text("")  # ignored
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    out = tmp_path / "export"
+    out.mkdir()
+    _, trees = bench_pairs.export("HEAD", str(out))
+    parent, change = Path(trees["parent"]), Path(trees["change"])
+    assert parent.parent == change.parent == out
+    assert (parent / "pkg" / "mod.py").read_text() == "X = 1\n"
+    assert (change / "pkg" / "mod.py").read_text() == "X = 2\n"
+    assert (parent / "gone.py").exists() and not (change / "gone.py").exists()
+    assert (change / "new.py").exists() and not (change / "built").exists()

@@ -3,10 +3,12 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workloads spectrum \\
         --pairs 10 --out BENCH_14.json
 
-Exports ``--parent`` with ``git archive`` into a temporary directory, then
-runs ``perfbench/run.py`` there and in this checkout (its working tree, so
-uncommitted edits count), ``--pairs`` times per workload, alternating which
-side runs first.  Both sides get the same ``--seconds`` and
+Exports ``--parent`` with ``git archive`` and copies this checkout's
+working tree (tracked and untracked files that git does not ignore, so
+uncommitted edits count) into two sibling directories of one temporary
+directory, so that both sides run from the same kind of place.  Then it
+runs ``perfbench/run.py`` in each, ``--pairs`` times per workload,
+alternating which side runs first.  Both sides get the same ``--seconds`` and
 ``--workload-seed``.  The JSON file records, per ``<workload>/<seed>``, each
 side's ``env`` line, every run's metrics, and per end-to-end metric each
 side's median and quartiles and how many pairs the change won, lost and
@@ -17,6 +19,7 @@ already in ``--out`` for other workloads or seeds are kept.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -27,19 +30,29 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def export(rev, directory):
-    """Write the files of commit ``rev`` into ``directory``; return its hash."""
+    """Write commit ``rev`` to ``directory/parent`` and this checkout's working
+    tree to ``directory/change``; return (rev's hash, {side: tree})."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
                          cwd=ROOT, capture_output=True, text=True, check=True)
     sha = sha.stdout.strip()
     archive = os.path.join(directory, "parent.tar")
     subprocess.run(["git", "archive", "--output", archive, sha], cwd=ROOT, check=True)
-    tree = os.path.join(directory, "parent")
+    trees = {side: os.path.join(directory, side) for side in ("parent", "change")}
     # extraction filters arrived in Python 3.10.12 / 3.11.4
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(archive) as tar:
-        tar.extractall(tree, **safe)
+        tar.extractall(trees["parent"], **safe)
     os.unlink(archive)
-    return sha, tree
+    listing = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True).stdout.decode("utf-8")
+    for rel in filter(None, listing.split("\0")):
+        source = os.path.join(ROOT, rel)
+        if os.path.isfile(source):  # a deleted tracked file is still listed
+            target = os.path.join(trees["change"], rel)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+    return sha, trees
 
 
 def run_once(checkout, workload, seconds, seed):
@@ -95,10 +108,9 @@ def main():
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        sha, parent_tree = export(args.parent, tmp)
+        sha, checkouts = export(args.parent, tmp)
         record.update(parent=sha, seconds=args.seconds)
         record.setdefault("runs", {})
-        checkouts = {"parent": parent_tree, "change": ROOT}
         for workload in args.workloads:
             envs, runs = {}, []
             for i in range(args.pairs):
