@@ -209,8 +209,11 @@ def _split_parts(cfg, ds):
 def _warm_up(cfg, parts, log_rows=None):
     train_part, val_part, _ = parts
     init_rng = make_rng(derive_seed(cfg.seed, "init"))
-    net = init_network(cfg.widths, train_part.dim, train_part.num_classes,
-                       lambda shape: normal(init_rng, shape))
+    try:
+        net = init_network(cfg.widths, train_part.dim, train_part.num_classes,
+                           lambda shape: normal(init_rng, shape))
+    except (ValueError, MemoryError) as e:  # NumPy cannot allocate the weights
+        raise ConfigError(f"widths {cfg.widths} too large to allocate: {e}") from None
     warmup_rng = make_rng(derive_seed(cfg.seed, "warmup"))
     return train_until(net, (train_part, val_part), cfg.distill, rng=warmup_rng,
                        log_rows=log_rows)

@@ -24,8 +24,10 @@ DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
 BZ_BLOCK = 4096
 PERM_ROWS = 8
 # A gemm over a column block that cuts the BLAS kernel's 8-column tiles, or
-# that ends in a partial tile, can round differently from the whole product
-# (OpenBLAS 0.3.31, Haswell kernels); blocks of whole tiles give its bits.
+# that ends in a partial tile, can round differently from the whole product;
+# blocks of whole tiles give its bits.  Seen with OpenBLAS 0.3.31 on its
+# SkylakeX core, as scipy_openblas_get_corename64_() reports at run time
+# (numpy.show_config() names only the Haswell build target).
 TILE = 8
 
 

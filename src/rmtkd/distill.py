@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TILE
 from .errors import InvalidInput, NumericalFailure
 from .network import backward, forward, sgd_step
 
@@ -19,9 +18,8 @@ from .network import backward, forward, sgd_step
 EPSILON_PROB = 1e-12
 # Columns of the per-epoch rows train_until appends to ``log_rows``.
 TRAINING_LOG_HEADER = ("epoch", "train_loss", "ce_term", "kl_term", "val_accuracy")
-# Columns per block of an accuracy pass (see eval_blocks).  The logit gemm of
-# a block narrower than about 200 columns can round differently from one
-# whole pass, so no block is narrower than EVAL_BLOCK / 2.
+# Columns per block of an accuracy pass: a multiple of data.TILE, so every
+# interior block edge falls on a whole BLAS tile.
 EVAL_BLOCK = 1024
 
 
@@ -127,30 +125,16 @@ def snapshot_teacher(net):
     return teacher
 
 
-def eval_blocks(n):
-    """``(start, stop)`` of the ceil(n / EVAL_BLOCK) near-equal column blocks
-    of an accuracy pass over n columns.
-
-    Interior edges are rounded down to a multiple of data.TILE, so when n is
-    a multiple of TILE no block cuts a BLAS tile (on the wide benchmark's
-    4000 validation columns the logits are the bits of one pass).  For
-    n > EVAL_BLOCK every block is at least EVAL_BLOCK / 2 and at most
-    EVAL_BLOCK + TILE - 1 columns wide.
-    """
-    k = max(1, -(-n // EVAL_BLOCK))
-    edges = [0] + [n * i // (k * TILE) * TILE for i in range(1, k)] + [n]
-    return list(zip(edges, edges[1:]))
-
-
 def accuracy(net, x, y):
     """Fraction of the columns of ``x`` whose argmax logit equals ``y``.
 
-    The columns run through ``forward`` in blocks of about EVAL_BLOCK, so at
-    most two activations of one block are alive at a time.
+    The columns run through ``forward`` in blocks of EVAL_BLOCK, so at most
+    two activations of one block are alive at a time.
     """
     y = np.asarray(y)
     hits = 0
-    for a, b in eval_blocks(x.shape[1]):
+    for a in range(0, x.shape[1], EVAL_BLOCK):
+        b = a + EVAL_BLOCK
         logits, _ = forward(net, x[:, a:b], keep_acts=False)
         hits += int(np.count_nonzero(np.argmax(logits, axis=0) == y[a:b]))
     return hits / x.shape[1]

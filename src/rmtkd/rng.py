@@ -41,8 +41,9 @@ def derive_seed(seed, tag):
 CHUNK = 2**16  # pairs per slice of a round's uniforms in normal()
 
 
-def normal(rng, size=None, mean=0.0, std=1.0):
-    """Gaussian variates via the (vectorized) polar method.
+def normal(rng, size, std=1.0):
+    """An array of shape ``size`` of N(0, std^2) variates via the
+    (vectorized) polar method.
 
     Draws pairs (u, v) uniform on [-1, 1]^2, keeps those inside the unit
     disc, and maps each accepted pair to two independent N(0, 1) values.
@@ -53,10 +54,7 @@ def normal(rng, size=None, mean=0.0, std=1.0):
     pairs ``CHUNK`` at a time, so the temporaries stay small however many
     values are asked for.
     """
-    if size is None:
-        n = 1
-    else:
-        n = int(np.prod(size))
+    n = int(np.prod(size))
     out = np.empty(n, dtype=np.float64)
     filled = 0
     while filled < n:
@@ -85,10 +83,7 @@ def normal(rng, size=None, mean=0.0, std=1.0):
             filled += take
             if filled == n:
                 break
-    out *= std  # out = mean + std * out, in place
-    out += mean
-    if size is None:
-        return float(out[0])
+    out *= std
     return out.reshape(size)
 
 

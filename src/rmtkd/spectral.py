@@ -86,24 +86,22 @@ def compute_covariance(x):
     """Empirical covariance Sigma = (1/n) X X^T of a d x n activation matrix.
 
     Uncentered: the mean is *not* subtracted, matching the raw second-moment
-    formula.  ``x`` is an array, or a row source: an object with ``.shape
+    formula.  ``x`` is an array or a row source: an object with ``.shape
     == (d, n)`` whose ``x[i:j]`` returns rows i:j as an array, so the d x n
-    matrix need never exist whole.  Either way the covariance is built from
-    blocks of COV_BLOCK rows (d <= COV_BLOCK is one block, one product).
+    matrix need never exist whole.  Both are sliced the same way, into
+    blocks of COV_BLOCK rows (d <= COV_BLOCK is one block, one product),
+    and each block is made a contiguous float64 array (a copy only when
+    the slice is strided or of another dtype) and checked as finite.
     Each row of blocks sweeps its off-diagonal blocks from the last one
     back, and the final one it makes is the next row's diagonal block, so
     at most two blocks are alive; for b blocks of rows, ``x`` is sliced
-    1 + b (b - 1) / 2 times (7 for d = 2048).  Each block is checked as
-    finite when it is made.
+    1 + b (b - 1) / 2 times (7 for d = 2048).
 
     The result is exactly symmetric: an off-diagonal block is written
     straight into its place and copied to the mirrored one, and for a
-    contiguous block ``a`` (a strided array is copied first) NumPy computes
-    the diagonal ``a @ a.T`` with a symmetric rank-k update and mirrors one
-    triangle.
+    contiguous block ``a`` NumPy computes the diagonal ``a @ a.T`` with a
+    symmetric rank-k update and mirrors one triangle.
     """
-    if not hasattr(x, "shape") or hasattr(x, "__array__"):
-        x = np.ascontiguousarray(x, dtype=np.float64)
     if len(x.shape) != 2 or x.shape[1] < 2:
         raise InvalidInput("expected a d x n matrix with n >= 2")
     d, n = x.shape

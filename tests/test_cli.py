@@ -294,6 +294,19 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     raw["widths"] = [True]
     assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 2
 
+    # weight matrices of 2**40 or more entries, which NumPy refuses at once
+    capsys.readouterr()
+    for command, widths, quantile in (("train", [10**12], 0.7),
+                                      ("train", [32, 2**40], 0.7),
+                                      ("compress", [10**12], 1.0)):
+        raw = _base_config(tmp_path / "o")
+        raw["widths"] = widths
+        raw["plan"]["quantile"] = quantile
+        assert main([command, "--config", _write_config(tmp_path, raw)]) == 2, widths
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: widths {widths} too large"), err
+        assert err.count("\n") == 1, err
+
     raw = _base_config(tmp_path / "o")
     raw["seed"] = 2**64  # one past the 8 bytes every sub-seed derives from
     assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2

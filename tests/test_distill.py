@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from rmtkd import distill
 from rmtkd.data import TILE, Dataset
 from rmtkd.distill import (EVAL_BLOCK, TRAINING_LOG_HEADER, DistillConfig,
-                           accuracy, combined_loss, eval_blocks,
-                           kl_divergence, snapshot_teacher, softmax,
-                           train_until)
+                           accuracy, combined_loss, kl_divergence,
+                           snapshot_teacher, softmax, train_until)
 from rmtkd.errors import InvalidInput
 from rmtkd.network import forward, init_network
 from rmtkd.rng import make_rng, normal
@@ -196,8 +195,7 @@ def _wide_net_and_columns(n):
 def test_accuracy_holds_at_most_two_activations():
     net, x, y = _wide_net_and_columns(4000)
     expected = float(np.mean(np.argmax(forward(net, x)[0], axis=0) == y))
-    widest = max(b - a for a, b in eval_blocks(4000))
-    block_activation = 512 * widest * 8
+    block_activation = 512 * EVAL_BLOCK * 8
     tracemalloc.start()
     try:
         got = accuracy(net, x, y)
@@ -209,27 +207,24 @@ def test_accuracy_holds_at_most_two_activations():
     assert peak <= 2 * block_activation + 2**20, peak
 
 
-@pytest.mark.parametrize("n", [4000, 1025, 2049])
-def test_blocked_accuracy_equals_one_pass(n):
+def test_eval_block_is_whole_tiles():
+    assert EVAL_BLOCK % TILE == 0
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 1023, 1024, 1025, 2049, 4000, 4100, 5003])
+def test_blocked_accuracy_equals_one_pass(n, monkeypatch):
     net, x, y = _wide_net_and_columns(n)
-    blocks = eval_blocks(n)
-    assert len(blocks) == math.ceil(n / EVAL_BLOCK) > 1
-    assert min(b - a for a, b in blocks) >= EVAL_BLOCK // 2
     one_pass = float(np.mean(np.argmax(forward(net, x)[0], axis=0) == y))
+    widths = []
+
+    def counting_forward(net, batch, keep_acts=True):
+        widths.append(batch.shape[1])
+        return forward(net, batch, keep_acts=keep_acts)
+
+    monkeypatch.setattr(distill, "forward", counting_forward)
     assert accuracy(net, x, y) == one_pass
-
-
-@pytest.mark.parametrize("block", [16, 96, 1024])
-@pytest.mark.parametrize("n", [1, 7, 8, 500, 1023, 1025, 2047, 2049, 4000, 20003])
-def test_eval_blocks_are_near_equal_and_tile_aligned(n, block, monkeypatch):
-    monkeypatch.setattr(distill, "EVAL_BLOCK", block)
-    blocks = eval_blocks(n)
-    assert len(blocks) == math.ceil(n / block)
-    assert blocks[0][0] == 0 and blocks[-1][1] == n
-    assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
-    assert all(b % TILE == 0 for _, b in blocks[:-1])
-    if n > block:
-        assert all(block // 2 <= b - a <= block + TILE - 1 for a, b in blocks)
+    # plain EVAL_BLOCK strides; only the last block may be narrower
+    assert widths == [min(EVAL_BLOCK, n - a) for a in range(0, n, EVAL_BLOCK)]
 
 
 # --------------------------------------------------------------- train_until

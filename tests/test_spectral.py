@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -114,6 +115,31 @@ def test_blocked_covariance_writes_the_bits_of_assigned_blocks():
     want = _assign_then_mirror_covariance(x)
     assert np.array_equal(compute_covariance(x), want)
     assert np.array_equal(compute_covariance(_RowCopies(x)), want)
+
+
+@pytest.mark.parametrize("d", [300, 1100])
+def test_covariance_of_a_fortran_or_float32_copy_has_the_bits(d):
+    # d = 300 is one block, d = 1100 three with a ragged last one
+    x = np.random.default_rng(26).normal(size=(d, 900))
+    assert np.array_equal(compute_covariance(np.asfortranarray(x)), compute_covariance(x))
+    x32 = x.astype(np.float32)
+    want = compute_covariance(x32.astype(np.float64))
+    assert np.array_equal(compute_covariance(x32), want)
+    assert np.array_equal(compute_covariance(np.asfortranarray(x32)), want)
+
+
+def test_covariance_converts_a_float32_array_block_by_block():
+    x = np.random.default_rng(27).normal(size=(2048, 600)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        compute_covariance(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the covariance, two float64 blocks of rows and one diagonal product;
+    # a whole float64 copy of x would add 2048 x 600 x 8 bytes (9.8 MB)
+    block = COV_BLOCK * 600 * 8
+    assert peak <= 2048 * 2048 * 8 + 2 * block + COV_BLOCK**2 * 8 + 2**20, peak
 
 
 def test_blocked_covariance_checks_the_last_block():

@@ -1,6 +1,7 @@
 """Hash every output file of the four rmtkd subcommands on the README toy config,
-of ``compress`` on the wide benchmark config and of ``spectrum`` on the
-2048-wide spectrum benchmark config.
+of ``compress`` on the wide benchmark config, of ``spectrum`` on the
+2048-wide spectrum benchmark config and of ``compress`` on a CSV copy of
+the toy task.
 
     python3 tools/digest_outputs.py --seeds 0 1
 
@@ -13,7 +14,10 @@ stops), ``compress`` on the wide config (input 128, N=20000, widths
 [512, 512], whose 512-wide gemms the toy config's 64-wide layers do not
 exercise), then ``train`` and ``spectrum --layer 0`` into one directory on
 the spectrum benchmark's config (toy task, widths [2048], every train
-column a calibration column), each run into a temporary directory.
+column a calibration column), and ``compress`` on a ``kind: "csv"`` task
+(the toy config's planted task for that seed, written with
+``data.save_csv`` as the run's ``task.csv``, so ``save_csv`` and
+``load_csv`` are byte-checked too), each run into a temporary directory.
 It prints one line ``<sha256> <run>/<seed>/<file>`` per output file, sorted
 by path.
 
@@ -55,6 +59,8 @@ SPECTRUM_WIDE_CONFIG = {
     "split": {"calibration_fraction": 1.0},
     "plan": {"quantile": 0.7, "layer_order": [0]},
 }
+# the task path is set per seed, to the run's own task.csv
+CSV_CONFIG = dict(TOY_CONFIG, task={"kind": "csv"})
 SPECTRUM = ["spectrum", "--layer", "0"]
 # (run name, config, commands run in turn into the run's directory);
 # "spectrum" reads the checkpoint "train" wrote
@@ -66,7 +72,17 @@ RUNS = [
     ("compress-rollback", ROLLBACK_CONFIG, [["compress"]]),
     ("wide-compress", WIDE_CONFIG, [["compress"]]),
     ("spectrum-wide", SPECTRUM_WIDE_CONFIG, [["train"], SPECTRUM]),
+    ("csv", CSV_CONFIG, [["compress"]]),
 ]
+
+
+def write_toy_task_csv(path, seed):
+    """Write the toy config's planted task for ``seed`` to ``path`` as CSV."""
+    from rmtkd.cli import build_task, validate_config
+    from rmtkd.data import save_csv
+
+    cfg = validate_config(TOY_CONFIG, out_override="unused", seed_override=seed)
+    save_csv(build_task(cfg), path)
 
 
 def digests(work, seeds, main):
@@ -74,13 +90,17 @@ def digests(work, seeds, main):
     lines = []
     for seed in seeds:
         for name, config, commands in RUNS:
-            config_path = os.path.join(work, f"{name}.json")
-            with open(config_path, "w", encoding="utf-8") as fh:
-                json.dump(config, fh, sort_keys=True)
             out = os.path.join(work, name, str(seed))
             os.makedirs(out)
             if name == "spectrum":
                 shutil.copy(os.path.join(work, "train", str(seed), "checkpoint.rmtk"), out)
+            if name == "csv":
+                config = dict(config, task=dict(config["task"],
+                                                path=os.path.join(out, "task.csv")))
+                write_toy_task_csv(config["task"]["path"], seed)
+            config_path = os.path.join(work, f"{name}.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh, sort_keys=True)
             for argv in commands:
                 rc = main(argv + ["--config", config_path, "--out", out,
                                   "--seed", str(seed)])
