@@ -304,9 +304,16 @@ class _CountingUniform:
         return self.rng.uniform(*args, **kwargs)
 
 
+# The ids keep the size-mean-std form they had when ``normal`` took a mean;
+# the mean is always 0.0 now.
 @pytest.mark.parametrize("size, std", [
-    ((), 1.0), (1, 1.0), (7, 0.5), ((12, 9), 1.0), ((40, 25), 3.0),
-    ((3, 0), 1.0), (5000, 1.0),
+    pytest.param((), 1.0, id="size2-0.0-1.0"),
+    pytest.param(1, 1.0, id="1-0.0-1.0"),
+    pytest.param(7, 0.5, id="7-0.0-0.5"),
+    pytest.param((12, 9), 1.0, id="size5-0.0-1.0"),
+    pytest.param((40, 25), 3.0, id="size6-0.0-3.0"),
+    pytest.param((3, 0), 1.0, id="size7-0.0-1.0"),
+    pytest.param(5000, 1.0, id="5000-0.0-1.0"),
 ])
 def test_normal_matches_out_of_place_reference(size, std):
     rounds = []
