@@ -14,10 +14,10 @@ Configs are validated strictly (unknown keys are errors) before any work
 starts.  All outputs are written atomically (temp file + rename) with the
 mode a plain ``open()`` would give under the umask, and all randomness
 derives from the single top-level seed via tagged sub-seeds, so reruns are
-bit-identical.  This module is the only one that turns results into text:
-every CSV table goes through :func:`csv_text` and every JSON file through
-:func:`json_text`.  Exit codes: 0 success, 1 runtime failure,
-2 config/usage error.
+bit-identical.  This module turns every result into text: each CSV table
+through :func:`rmtkd.data.csv_text`, the package's one CSV writer, and
+each JSON file through :func:`json_text`.  Exit codes: 0 success,
+1 runtime failure, 2 config/usage error.
 """
 
 import argparse
@@ -28,7 +28,7 @@ import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
-from .data import SplitSpec, load_csv, planted_subspace_task, split
+from .data import SplitSpec, csv_text, load_csv, planted_subspace_task, split
 from .distill import TRAINING_LOG_HEADER, DistillConfig, train_until
 from .errors import ConfigError, InvalidInput, RmtkdError
 from .network import (Checkpoint, init_network, load_checkpoint, param_count,
@@ -203,7 +203,17 @@ def build_task(cfg):
 
 
 def _split_parts(cfg, ds):
-    return split(ds, replace(cfg.split_spec, seed=derive_seed(cfg.seed, "split")))
+    try:
+        return split(ds, replace(cfg.split_spec, seed=derive_seed(cfg.seed, "split")))
+    except InvalidInput as e:
+        if cfg.task["kind"] != "planted":
+            raise  # the CSV data is at fault, not the config
+        params = _planted_params(cfg.task)
+        raise ConfigError(
+            f"planted task too small to split (task.n_samples={params['n_samples']}, "
+            f"task.num_classes={params['num_classes']}, "
+            f"split.train_fraction={cfg.split_spec.train_fraction}): {e}"
+        ) from None
 
 
 def _warm_up(cfg, parts, log_rows=None):
@@ -250,14 +260,6 @@ def write_outputs(outdir, staged):
 
 def _checkpoint_bytes(net, metrics):
     return save_checkpoint(Checkpoint(network=net, metrics=metrics))
-
-
-def csv_text(header, rows):
-    """A CSV table: the column names, then one line per row with each
-    value's repr as a cell.  Rows hold Python ints and floats, whose repr
-    is a plain decimal (a NumPy 2 scalar's reads ``np.float64(x)``)."""
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def json_text(obj):

@@ -1,4 +1,4 @@
-"""Synthetic generators, CSV ingestion, and stratified splitting.
+"""Synthetic generators, CSV reading and writing, and stratified splitting.
 
 All generators are pure functions of (parameters, seed): every random draw
 comes from a counter-based generator seeded explicitly, with Gaussians from
@@ -276,10 +276,11 @@ def load_csv(path, label_column="label"):
 
     The features are every non-label column, in file order.  Row order is
     preserved; labels are re-indexed densely to [0, num_classes) by sorted
-    order.
+    order.  Rows end in LF or CRLF: one trailing CR is dropped from each.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln != ""]
+        lines = [ln.removesuffix("\r") for ln in fh.read().split("\n")]
+    lines = [ln for ln in lines if ln != ""]
     if not lines:
         raise SchemaError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -321,13 +322,17 @@ def load_csv(path, label_column="label"):
     return Dataset(x=x, y=y, num_classes=len(uniq), extra={"label_names": uniq})
 
 
+def csv_text(header, rows):
+    """A CSV table: the column names, then one line per row with each
+    value's repr as a cell.  Rows hold Python ints and floats, whose repr
+    is a plain decimal (a NumPy 2 scalar's reads ``np.float64(x)``)."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def save_csv(ds, path):
     """Export a dataset in the package CSV format: f0..f{dim-1},label."""
-    dim = ds.dim
-    header = ",".join([f"f{i}" for i in range(dim)] + ["label"])
-    lines = [header]
-    for j in range(ds.n):
-        feats = ",".join(repr(float(v)) for v in ds.x[:, j])
-        lines.append(f"{feats},{int(ds.y[j])}")
+    header = [f"f{i}" for i in range(ds.dim)] + ["label"]
+    rows = (feats + [label] for feats, label in zip(ds.x.T.tolist(), ds.y.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(header, rows))

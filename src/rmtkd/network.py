@@ -59,6 +59,8 @@ class Network:
         self.check_dims()
 
     def check_dims(self):
+        if not self.layers:
+            raise InvalidInput("a network needs at least one layer")
         prev = self.input_dim
         for i, layer in enumerate(self.layers):
             if layer.in_dim != prev:
@@ -66,7 +68,7 @@ class Network:
                     f"layer {i} expects input {layer.in_dim}, got {prev}"
                 )
             prev = layer.out_dim
-        if self.layers and prev != self.num_classes:
+        if prev != self.num_classes:
             raise InvalidInput("final layer width must equal num_classes")
 
     def copy(self):
@@ -284,9 +286,9 @@ def load_checkpoint(path):
                     raise CorruptFile(f"{path}: layer {len(layers)} {name} are not all finite")
             layers.append(DenseLayer(weights=w, bias=bias,
                                      activation=spec["activation"], frozen=spec["frozen"]))
+        net = Network(layers=layers, input_dim=dims[0], num_classes=dims[1])
         if off != len(blob):
             raise CorruptFile(f"{path}: {len(blob) - off} trailing bytes after the weights")
-        net = Network(layers=layers, input_dim=dims[0], num_classes=dims[1])
         metrics = header["metrics"]
     except (KeyError, TypeError, ValueError, struct.error, InvalidInput) as e:
         raise CorruptFile(f"{path}: {e}") from e

@@ -198,7 +198,8 @@ def compress_step(net, data, plan, cfg, layer_id, rng, acc_before, iteration=0):
     the current network's layers and must name a non-frozen hidden layer.
     ``acc_before`` is the input network's validation accuracy, which the
     caller already knows.  Returns ``(new_net, IterationRecord)``; the input
-    network is never mutated.  A spectrum with no spikes is a skip: the
+    network is never mutated.  A spectrum with no spikes, or with every
+    direction a spike (a projection that reduces nothing), is a skip: the
     input network is returned unchanged with k = d recorded.
     DegenerateSpectrum from :func:`analyse_layer` propagates.
     """
@@ -206,7 +207,7 @@ def compress_step(net, data, plan, cfg, layer_id, rng, acc_before, iteration=0):
     spectrum, model, partition, _ = analyse_layer(net, cal_part.x, layer_id,
                                                   plan.quantile)
     new_net, acc_after = net, acc_before
-    if partition.k:
+    if 0 < partition.k < spectrum.d:
         proj = Projection(partition.spike_eigenvectors, layer_id,
                           [float(v) for v in spectrum.eigenvalues[:partition.k]])
         new_net, _, acc_after = train_until(

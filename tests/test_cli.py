@@ -19,7 +19,7 @@ import rmtkd
 from rmtkd import cli
 from rmtkd.cli import (DEFAULT_GRID, _parse_grid, main, validate_config,
                        write_outputs)
-from rmtkd.data import Dataset, save_csv
+from rmtkd.data import Dataset, csv_text, save_csv
 from rmtkd.errors import ConfigError
 from rmtkd.network import (Checkpoint, init_network, load_checkpoint,
                            save_checkpoint)
@@ -307,6 +307,17 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
         assert err.startswith(f"config error: widths {widths} too large"), err
         assert err.count("\n") == 1, err
 
+    # a planted task too small to stratify is the config's fault; the same
+    # split of a CSV file's data stays a runtime error (exit 1)
+    raw = _base_config(tmp_path / "o")
+    raw["task"].update(n_samples=20, num_classes=10)
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: planted task too small to split "
+                          "(task.n_samples=20, task.num_classes=10, "
+                          "split.train_fraction=0.8)"), err
+    assert err.count("\n") == 1, err
+
     raw = _base_config(tmp_path / "o")
     raw["seed"] = 2**64  # one past the 8 bytes every sub-seed derives from
     assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2
@@ -388,6 +399,28 @@ def test_exit_1_spectrum_on_checkpoint_with_unknown_header_key(tmp_path, capsys)
     assert f"{cp}: header has unknown key 'history'" in err and "Traceback" not in err
 
 
+def test_exit_1_spectrum_on_checkpoint_without_layers(tmp_path, capsys):
+    # a header that lists no layers is a corrupt file, not a bad --layer
+    out = tmp_path / "o"
+    out.mkdir()
+    raw = json.dumps({"input_dim": 16, "num_classes": 3, "layers": [],
+                      "metrics": {}}).encode("utf-8")
+    cp = out / "checkpoint.rmtk"
+    cp.write_bytes(b"RMTK" + struct.pack("<II", 3, len(raw)) + raw)
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {cp}: a network needs at least one layer\n"
+
+
+def test_exit_1_csv_task_too_small_to_stratify(tmp_path, capsys):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,1\n")
+    raw = _base_config(tmp_path / "o")
+    raw["task"] = {"kind": "csv", "path": str(data_path)}
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == "error: class 1 has too few examples to stratify\n"
+
+
 _HISTORY_HEADER = [f.name for f in fields(IterationRecord)]
 _RECORD = IterationRecord(iteration=1, layer_id=2, d=64, k=17, sigma2=0.1,
                           lambda_plus=1 / 3, acc_before=0.962,
@@ -413,7 +446,7 @@ _HIST_HEADER = ("bin_left", "bin_right", "empirical", "model")
     (_HIST_HEADER, [], "bin_left,bin_right,empirical,model\n"),
 ], ids=["history", "histogram", "empty"])
 def test_csv_text_exact(header, rows, text):
-    assert cli.csv_text(header, rows) == text
+    assert csv_text(header, rows) == text
 
 
 def test_exit_1_spectrum_on_non_finite_checkpoint(tmp_path, capsys):
@@ -710,6 +743,22 @@ def _patch_everywhere(monkeypatch, original, replacement):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, replacement)
+
+
+def test_compress_skips_a_step_that_keeps_every_direction(tmp_path):
+    # at quantile 0 every direction of this 4-wide layer is a spike: before
+    # the skip, a frozen 4 x 4 rotation was kept below the accuracy floor
+    raw = _base_config(tmp_path / "o")
+    raw.update(widths=[4], seed=0, distill={"max_epochs": 3},
+               plan={"quantile": 0.0, "accuracy_floor": 1.0})
+    assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["frozen_params"] == 0 and summary["reduction_fraction"] == 0.0
+    assert summary["final_accuracy"] == summary["baseline_accuracy"]
+    _, row = (tmp_path / "o" / "history.csv").read_text().splitlines()
+    assert row.split(",")[2:4] == ["4", "4"]  # d, k
+    cp = load_checkpoint(tmp_path / "o" / "checkpoint.rmtk")
+    assert not any(layer.frozen for layer in cp.network.layers)
 
 
 def test_compress_computes_each_validation_accuracy_once(tmp_path, monkeypatch):

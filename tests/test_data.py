@@ -473,6 +473,25 @@ def test_csv_roundtrip_exact_floats(tmp_path):
     assert np.array_equal(load_csv(p).x, ds.x)
 
 
+def test_save_csv_bytes(tmp_path):
+    # the header, then each feature's and the label's repr, LF line ends
+    ds = Dataset(x=np.array([[0.1, -0.0], [1e-17, 3.0]]), y=np.array([1, 0]),
+                 num_classes=2)
+    p = tmp_path / "b.csv"
+    save_csv(ds, p)
+    assert p.read_bytes() == b"f0,f1,label\n0.1,1e-17,1\n-0.0,3.0,0\n"
+
+
+def test_csv_crlf_loads_like_lf(tmp_path):
+    ds = _labeled([5, 7], seed=11)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    save_csv(ds, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = load_csv(lf), load_csv(crlf)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert (a.num_classes, a.extra) == (b.num_classes, b.extra)
+
+
 def test_csv_label_remap_is_dense_sorted(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("f0,label\n1.0,7\n2.0,3\n3.0,7\n")

@@ -472,6 +472,8 @@ def _set(key, value, layer=None):
     (_set("frozen", "no", layer=0), "must be true or false"),
     (_set("has_bias", 1, layer=0), "must be true or false"),
     (_set("input_dim", 9), "expects input"),
+    # no layers, even with input_dim == num_classes as here
+    (_set("layers", []), "a network needs at least one layer"),
     (_set("activation", "tanh", layer=1), "unknown activation"),
     (_set("metrics", 5), ""),
     # the header's key sets are exact, and metrics is a JSON object

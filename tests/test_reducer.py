@@ -143,6 +143,16 @@ def test_build_projection_no_spikes(monkeypatch):
     assert rec.acc_after_finetune == rec.acc_before == 0.75
 
 
+def test_build_projection_every_direction_a_spike(monkeypatch):
+    # k = d: a projection would reduce nothing, so it is a skip like k = 0,
+    # and the accuracy floor cannot be escaped by a k = d record
+    net, new_net, rec, projections, fits = _toy_step(monkeypatch, k_spikes=6)
+    assert projections == [] and fits == 0
+    assert new_net is net
+    assert rec.k == rec.d == 6
+    assert rec.acc_after_finetune == rec.acc_before == 0.75
+
+
 # ----------------------------------------------------------- apply_projection
 
 def _relu_net(seed=3):

@@ -1,88 +1,33 @@
-"""tools/compare_checkpoints.py: header-only differences pass, payload ones
-fail; tools/bench_pairs.py: pair wins follow each metric's direction, and
-both sides are exported side by side."""
+"""tools/digest_outputs.py: its benchmark runs use the benchmark's configs;
+tools/bench_pairs.py: pair wins follow each metric's direction, and both
+sides are exported side by side."""
 
 import importlib.util
-import json
-import struct
 import subprocess
 from pathlib import Path
 
-import pytest
-
-from rmtkd.network import Checkpoint, init_network, save_checkpoint
-from rmtkd.rng import make_rng, normal
-
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "compare_checkpoints", ROOT / "tools" / "compare_checkpoints.py")
-compare_checkpoints = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_checkpoints)
 
 
-def _blob(metrics=None, nudge=None):
-    rng = make_rng(3)
-    net = init_network([4], 3, 2, lambda shape: normal(rng, shape))
-    if nudge is not None:
-        layer, name = nudge
-        getattr(net.layers[layer], name).flat[0] += 1e-12
-    return save_checkpoint(Checkpoint(network=net, metrics=metrics or {"acc": 0.5}))
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _as_v2(blob):
-    """The same checkpoint laid out as format 2: an extra ``history`` key."""
-    hlen = struct.unpack("<I", blob[8:12])[0]
-    header = json.loads(blob[12:12 + hlen])
-    header["history"] = [[0, 4, 2]]
-    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return blob[:4] + struct.pack("<II", 2, len(raw)) + raw + blob[12 + hlen:]
+digest_outputs = _load("digest_outputs", ROOT / "tools" / "digest_outputs.py")
+bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 
 
-def _pair(tmp_path, old, new):
-    paths = []
-    for side, blob in (("old", old), ("new", new)):
-        path = tmp_path / side / "compress" / "0" / "checkpoint.rmtk"
-        path.parent.mkdir(parents=True)
-        path.write_bytes(blob)
-        paths.append(path)
-    return paths
-
-
-def test_header_only_difference_passes(tmp_path):
-    old, new = _pair(tmp_path, _as_v2(_blob()), _blob())
-    line = compare_checkpoints.compare(old, new)
-    assert line.startswith("version 2 -> 3, header keys removed ['history'], added []")
-    assert compare_checkpoints.checkpoints(tmp_path / "old") == [
-        str(Path("compress") / "0" / "checkpoint.rmtk")]
-
-
-@pytest.mark.parametrize("new, why", [
-    (_blob(nudge=(0, "weights")), "layer 0 weights differ"),
-    (_blob(nudge=(1, "bias")), "layer 1 bias differ"),
-    (_blob(metrics={"acc": 0.25}), "header 'metrics' differs"),
-], ids=["weights", "bias", "metrics"])
-def test_payload_or_metric_difference_fails(tmp_path, new, why):
-    old, new = _pair(tmp_path, _as_v2(_blob()), new)
-    with pytest.raises(ValueError, match=why):
-        compare_checkpoints.compare(old, new)
-
-
-def test_flag_difference_fails(tmp_path):
-    blob = _blob()
-    hlen = struct.unpack("<I", blob[8:12])[0]
-    header = json.loads(blob[12:12 + hlen])
-    header["layers"][1]["frozen"] = True
-    raw = json.dumps(header).encode("utf-8")
-    frozen = blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:]
-    old, new = _pair(tmp_path, blob, frozen)
-    with pytest.raises(ValueError, match="header 'layers' differs"):
-        compare_checkpoints.compare(old, new)
-
-
-_bench_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_bench_spec)
-_bench_spec.loader.exec_module(bench_pairs)
+def test_digest_runs_use_the_benchmark_configs():
+    # the digest byte-checks what the benchmark times; loading perfbench/run.py
+    # only defines its constants and functions
+    perfbench = _load("perfbench_run", ROOT / "perfbench" / "run.py")
+    runs = {name: config for name, config, _ in digest_outputs.RUNS}
+    for run, workload in (("compress", "toy"), ("wide-compress", "wide"),
+                          ("spectrum-wide", "spectrum")):
+        assert runs[run] == perfbench.WORKLOADS[workload]["config"], run
 
 
 def test_bench_pairs_summary_counts_wins_by_direction():

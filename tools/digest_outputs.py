@@ -23,9 +23,7 @@ by path.
 
 Two checkouts that print the same listing write the same bytes, so
 ``diff`` of two listings proves a refactor changed no output.  ``--src``
-imports ``rmtkd`` from another checkout's ``src/`` instead, and ``--keep
-DIR`` writes the runs into DIR and keeps them, so that
-``tools/compare_checkpoints.py`` can compare two checkouts' checkpoints.
+imports ``rmtkd`` from another checkout's ``src/`` instead.
 """
 
 import argparse
@@ -118,14 +116,11 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory to import rmtkd from (default: ./src)")
-    parser.add_argument("--keep", help="new directory to write the runs into and keep")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from rmtkd.cli import main as rmtkd_main
 
-    if args.keep:
-        os.makedirs(args.keep)
-    work = args.keep or tempfile.mkdtemp(prefix="rmtkd-digest-")
+    work = tempfile.mkdtemp(prefix="rmtkd-digest-")
     try:
         for line in digests(work, args.seeds, rmtkd_main):
             print(line)
@@ -133,8 +128,7 @@ def main():
         print(f"digest failed: {e}", file=sys.stderr)
         return 1
     finally:
-        if not args.keep:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     return 0
 
 
