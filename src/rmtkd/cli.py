@@ -382,7 +382,7 @@ def main(argv=None):
                 raw = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         cfg = validate_config(raw, out_override=args.out, seed_override=args.seed)
         if args.command == "train":

@@ -14,21 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationFailure, InvalidInput, ParseError, SchemaError
-from .rng import BLOCK, make_rng, normal, normal_draws
+from .rng import make_rng, normal
 
-GAP_TOL = 1e-9  # relative to |z|; far above the rounding of a score difference
 # A CSV feature cell: ASCII decimal with optional sign, point and exponent.
 DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# Columns per block of the planted generator's B z, and rows per step of its
-# in-place column permutation: neither needs a second input_dim x N array.
-BZ_BLOCK = 4096
-PERM_ROWS = 8
-# A gemm over a column block that cuts the BLAS kernel's 8-column tiles, or
-# that ends in a partial tile, can round differently from the whole product;
-# blocks of whole tiles give its bits.  Seen with OpenBLAS 0.3.31 on its
-# SkylakeX core, as scipy_openblas_get_corename64_() reports at run time
-# (numpy.show_config() names only the Haswell build target).
-TILE = 8
+# Latent draws per block of the planted generator's rejection sampling, and
+# columns per block of its x = B z + noise: no input_dim x N array but x.
+Z_BLOCK = 256
+X_BLOCK = 4096
 
 
 @dataclass
@@ -135,11 +128,14 @@ def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,
 
     Latents z ~ N(0, I_r) are labeled by the argmax of a random linear
     classifier (rows unit-normalized so the argmax cells have comparable
-    mass).  Draws are rejected until the top-two score gap is at least
-    ``margin`` (so an oracle on the planted basis is near-perfect) and class
-    counts are balanced within +-1 via per-class quotas.  Inputs are
-    x = B z + noise_sigma * (complement noise); the remaining
-    input_dim - r directions carry no label information.
+    mass).  Latents are drawn ``Z_BLOCK`` at a time; a draw passes when its
+    top-two score gap is at least ``margin`` (so an oracle on the planted
+    basis is near-perfect), and passing draws are kept in order while their
+    class quota has room, so class counts are balanced within +-1.  The rest
+    of the block that fills the last quota is dropped.  The kept draws are
+    then permuted, and x = B z + noise_sigma * (complement noise) is built
+    ``X_BLOCK`` columns at a time, each block drawing its own noise; the
+    remaining input_dim - r directions carry no label information.
 
     Returns ``(Dataset, planted_basis)`` with the basis as input_dim x r
     orthonormal columns.  Raises GenerationFailure if the quotas cannot be
@@ -164,64 +160,41 @@ def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,
     quota = np.array([n_samples // num_classes + (1 if i < n_samples % num_classes else 0)
                       for i in range(num_classes)])
     counts = np.zeros(num_classes, dtype=np.int64)
-    latents = np.zeros((r, n_samples))
-    labels = np.zeros(n_samples, dtype=np.int64)
+    latents = np.empty((r, n_samples))
+    labels = np.empty(n_samples, dtype=np.int64)
     got = 0
     draws = 0
     limit = 10 * n_samples
-    # Each block replays the per-draw loop "draw z; reject if the top-two gap
-    # is below margin; else keep it if its class quota has room; stop once
-    # every quota is full" over the same stream of normal(rng, r) calls.
     while got < n_samples:
         if draws == limit:
             raise GenerationFailure(f"class balance infeasible within {limit} draws")
-        size = min(BLOCK, limit - draws)
-        state = rng.bit_generator.state
-        z = normal_draws(rng, r, size)
+        size = min(Z_BLOCK, limit - draws)
+        z = normal(rng, (size, r))
+        draws += size
         scores = z @ scorer.T
         top2 = np.partition(scores, -2, axis=1)[:, -2:]
-        gap = top2[:, 1] - top2[:, 0]
-        passed = ~(gap < margin)
+        passed = top2[:, 1] - top2[:, 0] >= margin
         cls = np.argmax(scores, axis=1)
-        # The block product may round differently from a single draw's
-        # scorer @ z; rows that close to the margin are decided per draw.
-        near = np.abs(gap - margin) <= GAP_TOL * (1.0 + np.linalg.norm(z, axis=1))
-        for i in np.flatnonzero(near):
-            one = scorer @ z[i].copy()
-            pair = np.partition(one, -2)[-2:]
-            passed[i] = not (pair[1] - pair[0] < margin)
-            cls[i] = np.argmax(one)
         # A passing draw of class c is kept iff fewer than quota[c] draws of
         # c were kept before it: its rank among this block's passing draws
         # of c, added to counts[c], must not exceed quota[c].
         hits = (cls[:, None] == np.arange(num_classes)) & passed[:, None]
         rank = np.cumsum(hits, axis=0)[np.arange(size), cls]
         kept = np.flatnonzero(passed & (counts[cls] + rank <= quota[cls]))
-        used = size
-        if got + len(kept) == n_samples:
-            used = int(kept[-1]) + 1
-            rng.bit_generator.state = state
-            normal_draws(rng, r, used)
         latents[:, got:got + len(kept)] = z[kept].T
         labels[got:got + len(kept)] = cls[kept]
         counts += np.bincount(cls[kept], minlength=num_classes)
         got += len(kept)
-        draws += used
 
-    ambient = normal(rng, (input_dim - r, n_samples), std=noise_sigma) if input_dim > r \
-        else np.zeros((0, n_samples))
-    # x = B z + noise, added the other way round (the same bits) so that the
-    # ambient draw is freed first.  B z is added BZ_BLOCK columns at a time
-    # when every block is whole TILEs, else in one product.  The columns are
-    # then permuted in place, a few rows at a time.
-    x = complement @ ambient
-    del ambient
-    step = BZ_BLOCK if n_samples % TILE == 0 else n_samples
-    for a in range(0, n_samples, step):
-        x[:, a:a + step] += basis @ latents[:, a:a + step]
     perm = rng.permutation(n_samples)
-    for i in range(0, input_dim, PERM_ROWS):
-        x[i:i + PERM_ROWS] = x[i:i + PERM_ROWS][:, perm]
+    latents = latents[:, perm]
+    x = np.empty((input_dim, n_samples))
+    for a in range(0, n_samples, X_BLOCK):
+        # B z goes straight into x: a block holds no B z or sum temporary
+        block = x[:, a:a + X_BLOCK]
+        np.matmul(basis, latents[:, a:a + X_BLOCK], out=block)
+        block += complement @ normal(rng, (input_dim - r, block.shape[1]),
+                                     std=noise_sigma)
     ds = Dataset(x=x, y=labels[perm], num_classes=num_classes,
                  extra={"scorer": scorer, "margin": margin})
     return ds, basis
@@ -278,8 +251,12 @@ def load_csv(path, label_column="label"):
     preserved; labels are re-indexed densely to [0, num_classes) by sorted
     order.  Rows end in LF or CRLF: one trailing CR is dropped from each.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln.removesuffix("\r") for ln in fh.read().split("\n")]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: byte {e.start} is not UTF-8 text") from None
+    lines = [ln.removesuffix("\r") for ln in text.split("\n")]
     lines = [ln for ln in lines if ln != ""]
     if not lines:
         raise SchemaError(f"{path}: empty file")

@@ -18,7 +18,13 @@ from .network import backward, forward, sgd_step
 EPSILON_PROB = 1e-12
 # Columns of the per-epoch rows train_until appends to ``log_rows``.
 TRAINING_LOG_HEADER = ("epoch", "train_loss", "ce_term", "kl_term", "val_accuracy")
-# Columns per block of an accuracy pass: a multiple of data.TILE, so every
+# A gemm over a column block that cuts the BLAS kernel's 8-column tiles, or
+# that ends in a partial tile, can round differently from the whole product;
+# blocks of whole tiles give its bits.  Seen with OpenBLAS 0.3.31 on its
+# SkylakeX core, as scipy_openblas_get_corename64_() reports at run time
+# (numpy.show_config() names only the Haswell build target).
+TILE = 8
+# Columns per block of an accuracy pass: a multiple of TILE, so every
 # interior block edge falls on a whole BLAS tile.
 EVAL_BLOCK = 1024
 

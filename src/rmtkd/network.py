@@ -290,6 +290,7 @@ def load_checkpoint(path):
         if off != len(blob):
             raise CorruptFile(f"{path}: {len(blob) - off} trailing bytes after the weights")
         metrics = header["metrics"]
-    except (KeyError, TypeError, ValueError, struct.error, InvalidInput) as e:
+    except (KeyError, TypeError, ValueError, RecursionError, struct.error,
+            InvalidInput) as e:
         raise CorruptFile(f"{path}: {e}") from e
     return Checkpoint(network=net, metrics=metrics)

@@ -12,8 +12,6 @@ primitives:
 Gaussian variates are produced with the polar method on top of the
 generator's uniforms rather than the generator's own normal routine, so the
 exact draw sequence is pinned by this module and not by the numpy version.
-``normal_draws`` gives the results of many equal-sized ``normal`` calls from
-block-drawn uniforms, consuming the stream exactly as those calls would.
 """
 
 import hashlib
@@ -85,49 +83,3 @@ def normal(rng, size, std=1.0):
                 break
     out *= std
     return out.reshape(size)
-
-
-BLOCK = 256  # rows per uniform block; each short draw discards the rest of its block
-
-
-def normal_draws(rng, size, count):
-    """``count`` x ``size`` array whose rows equal ``count`` successive
-    ``normal(rng, size)`` calls, leaving ``rng`` exactly where they would.
-
-    The uniforms for up to ``BLOCK`` calls are drawn at once.  A call whose
-    first round of pairs lands fewer than ceil(size / 2) in the disc (a
-    "short" draw) needs further rounds; the generator is rewound to it and
-    ``normal`` itself makes that call, then block drawing resumes.
-    """
-    n = int(size)
-    out = np.empty((count, n), dtype=np.float64)
-    if n == 0:
-        return out  # normal(rng, 0) draws nothing
-    m = max(8, int(n * 0.7) + 4)  # normal()'s first round for need = n
-    half = (n + 1) // 2
-    done = 0
-    while done < count:
-        rows = min(BLOCK, count - done)
-        state = rng.bit_generator.state
-        uv = rng.uniform(-1.0, 1.0, size=(rows, 2, m))
-        u, v = uv[:, 0], uv[:, 1]
-        s = u * u + v * v
-        ok = (s > 0.0) & (s < 1.0)
-        rank = np.cumsum(ok, axis=1)
-        short = rank[:, -1] < half
-        full = int(np.argmax(short)) if short.any() else rows
-        keep = ok[:full] & (rank[:full] <= half)
-        s_k = s[:full][keep]
-        f = np.sqrt(-2.0 * np.log(s_k) / s_k)
-        pair = np.empty((full, 2 * half), dtype=np.float64)
-        pair.reshape(-1)[0::2] = u[:full][keep] * f
-        pair.reshape(-1)[1::2] = v[:full][keep] * f
-        out[done:done + full] = pair[:, :n]
-        done += full
-        if full < rows:
-            rng.bit_generator.state = state
-            rng.bit_generator.random_raw(2 * m * full, output=False)
-            out[done] = normal(rng, n)
-            done += 1
-    return out
-

@@ -334,6 +334,19 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     assert main(["bogus", "--config", "x"]) == 2  # argparse rejection
 
 
+@pytest.mark.parametrize("content, why", [
+    pytest.param(b'{"seed": 7\xff}', "can't decode byte 0xff", id="not-utf8"),
+    pytest.param(b"[" * 200000, "recursion", id="nested-too-deep"),
+])
+def test_exit_2_on_undecodable_config(tmp_path, capsys, content, why):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["compress", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON: "), err
+    assert why in err and "Traceback" not in err
+
+
 def test_exit_2_spectrum_without_layer(tmp_path):
     cfgp = _write_config(tmp_path, _base_config(tmp_path / "o"))
     assert main(["spectrum", "--config", cfgp]) == 2
@@ -419,6 +432,27 @@ def test_exit_1_csv_task_too_small_to_stratify(tmp_path, capsys):
     raw["task"] = {"kind": "csv", "path": str(data_path)}
     assert main(["train", "--config", _write_config(tmp_path, raw)]) == 1
     assert capsys.readouterr().err == "error: class 1 has too few examples to stratify\n"
+
+
+def test_exit_1_csv_task_not_utf8(tmp_path, capsys):
+    data_path = tmp_path / "d.csv"
+    data_path.write_bytes(b"f0,label\n1.0,0\n2.0,\xe9\n")
+    raw = _base_config(tmp_path / "o")
+    raw["task"] = {"kind": "csv", "path": str(data_path)}
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == f"error: {data_path}: byte 19 is not UTF-8 text\n"
+
+
+def test_exit_1_spectrum_on_checkpoint_header_nested_too_deep(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    raw = b"[" * 200000
+    cp = out / "checkpoint.rmtk"
+    cp.write_bytes(b"RMTK" + struct.pack("<II", 3, len(raw)) + raw)
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cp}: ") and "recursion" in err, err
 
 
 _HISTORY_HEADER = [f.name for f in fields(IterationRecord)]
@@ -749,7 +783,7 @@ def test_compress_skips_a_step_that_keeps_every_direction(tmp_path):
     # at quantile 0 every direction of this 4-wide layer is a spike: before
     # the skip, a frozen 4 x 4 rotation was kept below the accuracy floor
     raw = _base_config(tmp_path / "o")
-    raw.update(widths=[4], seed=0, distill={"max_epochs": 3},
+    raw.update(widths=[4], seed=1, distill={"max_epochs": 3},
                plan={"quantile": 0.0, "accuracy_floor": 1.0})
     assert main(["compress", "--config", _write_config(tmp_path, raw)]) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())

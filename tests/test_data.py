@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from rmtkd import data as data_module
 from rmtkd import rng as rng_module
-from rmtkd.data import (TILE, Dataset, SplitSpec, load_csv,
+from rmtkd.data import (Dataset, SplitSpec, load_csv,
                         planted_subspace_task, sample_noise_matrix,
                         sample_spiked, save_csv, split)
 from rmtkd.errors import (GenerationFailure, InvalidInput, ParseError,
                           SchemaError)
-from rmtkd.rng import make_rng, normal, normal_draws
+from rmtkd.rng import make_rng, normal
 
 
 # ------------------------------------------------------------------- dataset
@@ -135,9 +135,11 @@ def test_planted_task_validates_dims():
 
 # ---------------------------------------------- block generation = per draw
 
-def _planted_per_draw(input_dim, intrinsic_dim, num_classes, n_samples,
-                      noise_sigma, seed, margin=0.3):
-    """The per-draw rejection loop the block generator replays (reference)."""
+def _planted_block_ref(input_dim, intrinsic_dim, num_classes, n_samples,
+                       noise_sigma, seed, margin=0.3):
+    """The planted generator's block rule, deciding one draw at a time
+    (reference): each draw of a ``Z_BLOCK`` block passes on its own gap and
+    is kept while its class quota has room."""
     rng = make_rng(seed)
     r = intrinsic_dim
     basis_full, _ = np.linalg.qr(normal(rng, (input_dim, input_dim)))
@@ -149,52 +151,41 @@ def _planted_per_draw(input_dim, intrinsic_dim, num_classes, n_samples,
     quota = [n_samples // num_classes + (1 if i < n_samples % num_classes else 0)
              for i in range(num_classes)]
     counts = [0] * num_classes
-    latents = np.zeros((r, n_samples))
-    labels = np.zeros(n_samples, dtype=np.int64)
-    got = 0
+    kept = []
     draws = 0
-    while got < n_samples:
-        draws += 1
-        if draws > 10 * n_samples:
-            raise GenerationFailure(
-                f"class balance infeasible within {10 * n_samples} draws"
-            )
-        z = normal(rng, r)
-        scores = scorer @ z
-        top2 = np.partition(scores, -2)[-2:]
-        if top2[1] - top2[0] < margin:
-            continue
-        c = int(np.argmax(scores))
-        if counts[c] >= quota[c]:
-            continue
-        latents[:, got] = z
-        labels[got] = c
-        counts[c] += 1
-        got += 1
+    limit = 10 * n_samples
+    while len(kept) < n_samples:
+        if draws == limit:
+            raise GenerationFailure(f"class balance infeasible within {limit} draws")
+        z = normal(rng, (min(data_module.Z_BLOCK, limit - draws), r))
+        draws += len(z)
+        for zi, scores in zip(z, z @ scorer.T):
+            top2 = np.partition(scores, -2)[-2:]
+            c = int(np.argmax(scores))
+            if top2[1] - top2[0] >= margin and counts[c] < quota[c]:
+                kept.append((zi, c))
+                counts[c] += 1
 
-    ambient = normal(rng, (input_dim - r, n_samples), std=noise_sigma) if input_dim > r \
-        else np.zeros((0, n_samples))
-    x = basis @ latents + complement @ ambient
     perm = rng.permutation(n_samples)
-    return x[:, perm], labels[perm], basis, scorer
+    latents = np.array([zi for zi, _ in kept]).T[:, perm]
+    labels = np.array([c for _, c in kept], dtype=np.int64)[perm]
+    width = data_module.X_BLOCK
+    x = np.hstack([
+        basis @ latents[:, a:a + width]
+        + complement @ normal(rng, (input_dim - r, min(width, n_samples - a)),
+                              std=noise_sigma)
+        for a in range(0, n_samples, width)])
+    return x, labels, basis, scorer
 
 
-def _assert_same_task(args, margin, monkeypatch=None):
-    """Block and per-draw generators give byte-equal x, y, basis and scorer.
-
-    Returns how many draws the block generator handed back to normal()."""
-    short = []
-    if monkeypatch is not None:
-        def counting(rng, size=None, **kw):
-            short.append(size)
-            return normal(rng, size, **kw)
-        monkeypatch.setattr(rng_module, "normal", counting)
+def _assert_same_task(args, margin):
+    """The generator and its per-draw reference give byte-equal x, y, basis
+    and scorer."""
     ds, basis = planted_subspace_task(*args, margin=margin)
-    want = _planted_per_draw(*args, margin=margin)
+    want = _planted_block_ref(*args, margin=margin)
     for got, ref in zip((ds.x, ds.y, basis, ds.extra["scorer"]), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-    return len(short)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 8, 16])
@@ -207,43 +198,47 @@ def test_planted_task_matches_per_draw_loop(r, margin):
 
 @pytest.mark.parametrize("n", [1000, 1001])
 def test_planted_task_blocked_bz_and_permute_match_per_draw_loop(n, monkeypatch):
-    # 1000 columns add B z in ten 96-column blocks and a ragged 40-column one;
-    # 1001 ends in a partial tile, so it stays one product.  21 rows permute
-    # 5 at a time, the last step ragged.
-    monkeypatch.setattr(data_module, "BZ_BLOCK", 96)
-    monkeypatch.setattr(data_module, "PERM_ROWS", 5)
-    assert 96 % TILE == 0 and 1000 % TILE == 0 and 1001 % TILE != 0
+    # x is built in ten 96-column blocks and a ragged last one of 40 or 41
+    # columns, after the latents are permuted; each block draws its own noise.
+    monkeypatch.setattr(data_module, "X_BLOCK", 96)
     _assert_same_task((21, 16, 4, n, 0.2, 0), 0.3)
 
 
 def test_planted_task_matches_per_draw_loop_full_rank():
+    # input_dim == r: each block's noise is 0 x width and adds zeros.
     _assert_same_task((6, 6, 3, 300, 0.1, 21), 0.3)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_planted_task_matches_per_draw_loop_with_short_draws(seed, monkeypatch):
-    # At r = 8 about 0.5% of draws need a second round of pairs.
-    assert _assert_same_task((32, 8, 10, 3000, 0.3, seed), 0.3, monkeypatch) > 0
-
-
 def test_planted_task_margin_equal_to_a_drawn_gap():
-    # A margin exactly at some draw's gap (as scorer @ z computes it) is the
-    # case where a block product's rounding could flip accept/reject.
+    # A draw whose gap (as the block product computes it) equals the margin
+    # passes.
     args = (12, 8, 5, 200, 0.2, 22)
     rng = make_rng(22)
     normal(rng, (12, 12))
     scorer = normal(rng, (5, 8))
     scorer = scorer / np.linalg.norm(scorer, axis=1, keepdims=True)
-    gaps = []
-    for _ in range(40):
-        top2 = np.partition(scorer @ normal(rng, 8), -2)[-2:]
-        gaps.append(top2[1] - top2[0])
-    for margin in sorted(gaps)[::8]:
+    top2 = np.partition(normal(rng, (data_module.Z_BLOCK, 8)) @ scorer.T, -2, axis=1)
+    gaps = top2[:, -1] - top2[:, -2]
+    for margin in sorted(gaps[:40])[::8]:
         try:
             _assert_same_task(args, margin)
         except GenerationFailure:
             with pytest.raises(GenerationFailure):
-                _planted_per_draw(*args, margin=margin)
+                _planted_block_ref(*args, margin=margin)
+
+
+def test_planted_task_memory_is_x_plus_latents_and_blocks():
+    # x is built X_BLOCK columns at a time: no input_dim x N noise draw, B z
+    # or permuted copy of x is held beside it.
+    input_dim, r, n = 32, 4, 40000
+    tracemalloc.start()
+    try:
+        ds, _ = planted_subspace_task(input_dim, r, 3, n, 0.3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 8 * input_dim * data_module.X_BLOCK
+    assert peak <= ds.x.nbytes + 2 * 8 * r * n + 6 * block, peak
 
 
 def test_planted_task_infeasible_margin_same_failure():
@@ -251,21 +246,9 @@ def test_planted_task_infeasible_margin_same_failure():
     with pytest.raises(GenerationFailure) as block:
         planted_subspace_task(*args, margin=50.0)
     with pytest.raises(GenerationFailure) as per_draw:
-        _planted_per_draw(*args, margin=50.0)
+        _planted_block_ref(*args, margin=50.0)
     assert str(block.value) == str(per_draw.value) == \
         "class balance infeasible within 1000 draws"
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 8, 16])
-def test_normal_draws_equal_successive_normal_calls(r):
-    for seed in range(3):
-        a, b = make_rng(seed), make_rng(seed)
-        count = 3 * rng_module.BLOCK + 17
-        want = np.stack([normal(a, r) for _ in range(count)])
-        got = normal_draws(b, r, count)
-        assert got.tobytes() == want.tobytes()
-        np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
-    assert normal_draws(make_rng(0), r, 0).shape == (0, r)
 
 
 def _normal_ref(rng, size, std=1.0):

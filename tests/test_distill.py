@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtkd import distill
-from rmtkd.data import TILE, Dataset
-from rmtkd.distill import (EVAL_BLOCK, TRAINING_LOG_HEADER, DistillConfig,
-                           accuracy, combined_loss, kl_divergence,
-                           snapshot_teacher, softmax, train_until)
+from rmtkd.data import Dataset
+from rmtkd.distill import (EVAL_BLOCK, TILE, TRAINING_LOG_HEADER,
+                           DistillConfig, accuracy, combined_loss,
+                           kl_divergence, snapshot_teacher, softmax,
+                           train_until)
 from rmtkd.errors import InvalidInput
 from rmtkd.network import forward, init_network
 from rmtkd.rng import make_rng, normal

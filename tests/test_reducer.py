@@ -534,8 +534,8 @@ def test_run_loop_rollback_on_accuracy_floor():
 def test_final_accuracy_equals_a_fresh_forward():
     # run_loop's caller reads the result's accuracy from the history instead
     # of running the validation split again; both give the same float.
-    parts = _task_parts(seed=120)
-    net, acc = _warmed_net(parts, seed=121)
+    parts = _task_parts(seed=140)
+    net, acc = _warmed_net(parts, seed=141)
     val = parts[1]
     assert acc == accuracy(net, val.x, val.y)
     starved = DistillConfig(max_epochs=1, accuracy_threshold=0.99,
@@ -546,8 +546,8 @@ def test_final_accuracy_equals_a_fresh_forward():
              (CompressionPlan(layer_order=[]), _fast_cfg())]
     outcomes = []
     for plan, cfg in cases:
-        out, history = run_loop(net, parts, plan, cfg, make_rng(122), acc)
-        _, history_again = run_loop(net, parts, plan, cfg, make_rng(122))
+        out, history = run_loop(net, parts, plan, cfg, make_rng(142), acc)
+        _, history_again = run_loop(net, parts, plan, cfg, make_rng(142))
         assert history_again == history  # acc given = acc computed
         assert final_accuracy(history, plan, acc) == accuracy(out, val.x, val.y)
         outcomes.append([(rolled_back(r, plan), r.acc_after_finetune == r.acc_before)
