@@ -73,11 +73,6 @@ def _check_keys(section, given, allowed):
         raise ConfigError(f"unknown key {unknown[0]!r} in {section}")
 
 
-def _planted_params(task):
-    """The planted task's generator arguments, defaults filled in."""
-    return {**_PLANTED_DEFAULTS, **{k: v for k, v in task.items() if k != "kind"}}
-
-
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -92,18 +87,17 @@ def _is_number(value):
 
 
 def _check_planted(task):
-    params = _planted_params(task)
     for key in ("input_dim", "intrinsic_dim", "num_classes", "n_samples"):
-        value = params[key]
+        value = task[key]
         if not _is_int(value) or value < 1:
             raise ConfigError(f"task.{key} must be a positive integer, got {value!r}")
     for key in ("noise_sigma", "margin"):
-        value = params[key]
+        value = task[key]
         if not _is_number(value) or value < 0:
             raise ConfigError(f"task.{key} must be a finite number >= 0, got {value!r}")
-    if params["intrinsic_dim"] > params["input_dim"]:
+    if task["intrinsic_dim"] > task["input_dim"]:
         raise ConfigError("task.intrinsic_dim must be <= task.input_dim")
-    if params["num_classes"] < 2:
+    if task["num_classes"] < 2:
         raise ConfigError("task.num_classes must be >= 2")
 
 
@@ -144,6 +138,7 @@ def validate_config(raw, out_override=None, seed_override=None):
         if not isinstance(task.get("label_column", "label"), str):
             raise ConfigError(f"task.label_column must be a string, got {task['label_column']!r}")
     if task["kind"] == "planted":
+        task = {**_PLANTED_DEFAULTS, **task}
         _check_planted(task)
 
     widths = raw["widths"]
@@ -190,16 +185,19 @@ def build_task(cfg):
     """Materialize the configured dataset, deterministically from the seed."""
     task = cfg.task
     if task["kind"] == "planted":
-        params = _planted_params(task)
         try:
-            ds, _ = planted_subspace_task(**params, seed=derive_seed(cfg.seed, "task"))
+            ds, _ = planted_subspace_task(**{k: task[k] for k in _PLANTED_DEFAULTS},
+                                          seed=derive_seed(cfg.seed, "task"))
         except (ValueError, MemoryError) as e:  # NumPy cannot allocate the arrays
             raise ConfigError(
-                f"planted task too large to generate (input_dim={params['input_dim']}, "
-                f"n_samples={params['n_samples']}): {e}"
+                f"planted task too large to generate (input_dim={task['input_dim']}, "
+                f"n_samples={task['n_samples']}): {e}"
             ) from None
         return ds
-    return load_csv(task["path"], label_column=task.get("label_column", "label"))
+    try:
+        return load_csv(task["path"], label_column=task.get("label_column", "label"))
+    except OSError as e:  # the config names a file that cannot be read
+        raise ConfigError(f"cannot read task.path {task['path']!r}: {e.strerror}") from None
 
 
 def _split_parts(cfg, ds):
@@ -208,10 +206,9 @@ def _split_parts(cfg, ds):
     except InvalidInput as e:
         if cfg.task["kind"] != "planted":
             raise  # the CSV data is at fault, not the config
-        params = _planted_params(cfg.task)
         raise ConfigError(
-            f"planted task too small to split (task.n_samples={params['n_samples']}, "
-            f"task.num_classes={params['num_classes']}, "
+            f"planted task too small to split (task.n_samples={cfg.task['n_samples']}, "
+            f"task.num_classes={cfg.task['num_classes']}, "
             f"split.train_fraction={cfg.split_spec.train_fraction}): {e}"
         ) from None
 
@@ -380,8 +377,8 @@ def main(argv=None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
+        except OSError as e:
+            raise ConfigError(f"cannot read config file {args.config}: {e.strerror}") from None
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         cfg = validate_config(raw, out_override=args.out, seed_override=args.seed)
@@ -398,10 +395,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except RmtkdError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (RmtkdError, OSError) as e:  # OSError: a checkpoint or output file
         print(f"error: {e}", file=sys.stderr)
         return 1
 

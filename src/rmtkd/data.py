@@ -9,7 +9,7 @@ bit-for-bit from its parameters.
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class Dataset:
     x: np.ndarray  # dim x N, float64
     y: np.ndarray  # length N, int labels in [0, num_classes)
     num_classes: int
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -195,14 +194,7 @@ def planted_subspace_task(input_dim, intrinsic_dim, num_classes, n_samples,
         np.matmul(basis, latents[:, a:a + X_BLOCK], out=block)
         block += complement @ normal(rng, (input_dim - r, block.shape[1]),
                                      std=noise_sigma)
-    ds = Dataset(x=x, y=labels[perm], num_classes=num_classes,
-                 extra={"scorer": scorer, "margin": margin})
-    return ds, basis
-
-
-def _per_class_take(class_indices, fraction):
-    """How many of each class go to a split: round(fraction * count)."""
-    return {c: int(round(fraction * len(idx))) for c, idx in class_indices.items()}
+    return Dataset(x=x, y=labels[perm], num_classes=num_classes), basis
 
 
 def split(ds, spec):
@@ -220,17 +212,17 @@ def split(ds, spec):
             raise InvalidInput(f"class {c} has too few examples to stratify")
         class_indices[c] = idx
 
-    n_train = _per_class_take(class_indices, spec.train_fraction)
     train_idx = []
     val_idx = []
     cal_idx = []
     for c, idx in class_indices.items():
-        if n_train[c] == 0 or n_train[c] == len(idx):
+        n_train = int(round(spec.train_fraction * len(idx)))
+        if n_train == 0 or n_train == len(idx):
             raise InvalidInput(f"class {c} has too few examples to stratify")
         shuffled = idx[rng.permutation(len(idx))]
-        tr = shuffled[:n_train[c]]
+        tr = shuffled[:n_train]
         train_idx.append(tr)
-        val_idx.append(shuffled[n_train[c]:])
+        val_idx.append(shuffled[n_train:])
         n_cal = int(round(spec.calibration_fraction * len(tr)))
         cal_idx.append(tr[:n_cal])
     train_idx = np.sort(np.concatenate(train_idx))
@@ -239,7 +231,7 @@ def split(ds, spec):
 
     def take(indices):
         return Dataset(x=ds.x[:, indices], y=ds.y[indices],
-                       num_classes=ds.num_classes, extra=dict(ds.extra))
+                       num_classes=ds.num_classes)
 
     return take(train_idx), take(val_idx), take(cal_idx)
 
@@ -248,8 +240,9 @@ def load_csv(path, label_column="label"):
     """Load a dataset from CSV: header row, decimal floats, dense labels.
 
     The features are every non-label column, in file order.  Row order is
-    preserved; labels are re-indexed densely to [0, num_classes) by sorted
-    order.  Rows end in LF or CRLF: one trailing CR is dropped from each.
+    preserved.  Label id i is the i-th distinct label string in sorted
+    string order (so "10" comes before "9").  Rows end in LF or CRLF: one
+    trailing CR is dropped from each.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -296,7 +289,7 @@ def load_csv(path, label_column="label"):
     remap = {lab: i for i, lab in enumerate(uniq)}
     y = np.array([remap[lab] for lab in raw_labels], dtype=np.int64)
     x = np.array(rows, dtype=np.float64).T
-    return Dataset(x=x, y=y, num_classes=len(uniq), extra={"label_names": uniq})
+    return Dataset(x=x, y=y, num_classes=len(uniq))
 
 
 def csv_text(header, rows):

@@ -7,7 +7,7 @@ reduces to plain cross-entropy (warm-up phase).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,10 +125,7 @@ def combined_loss(logits_new, logits_old, labels, alpha):
 
 def snapshot_teacher(net):
     """A deep copy of ``net`` with every layer frozen: the distillation teacher."""
-    teacher = net.copy()
-    for layer in teacher.layers:
-        layer.frozen = True
-    return teacher
+    return replace(net, layers=[replace(l, frozen=True) for l in net.layers])
 
 
 def accuracy(net, x, y):

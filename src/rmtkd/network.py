@@ -10,7 +10,7 @@ never updated.
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,13 +72,8 @@ class Network:
             raise InvalidInput("final layer width must equal num_classes")
 
     def copy(self):
-        return Network(
-            layers=[DenseLayer(weights=l.weights, bias=l.bias,
-                               activation=l.activation, frozen=l.frozen)
-                    for l in self.layers],
-            input_dim=self.input_dim,
-            num_classes=self.num_classes,
-        )
+        # replace() reruns __post_init__: each layer copies its own arrays
+        return replace(self, layers=[replace(l) for l in self.layers])
 
 
 def init_network(widths, input_dim, num_classes, rng_normal):

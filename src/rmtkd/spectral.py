@@ -246,7 +246,7 @@ def init_sigma2(spectrum, quantile=0.5):
     return float(np.quantile(lam, quantile))
 
 
-def _histogram(eigs, q):
+def _histogram(eigs):
     """Shared binning for the fit: B = ceil(sqrt(d)) equal-width bins.
 
     The range is [0, min(max eigenvalue, 3 * q75) * 1.05].  Capping at three
@@ -289,7 +289,7 @@ def fit_sigma2(spectrum, sigma2_init):
     if np.ptp(eigs) == 0.0:
         raise DegenerateSpectrum("all eigenvalues identical")
     q = spectrum.q
-    edges, width, empirical, centers = _histogram(eigs, q)
+    edges, width, empirical, centers = _histogram(eigs)
 
     def distance(s2):
         model = MPModel(sigma2=s2, q=q)

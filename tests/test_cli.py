@@ -56,6 +56,16 @@ def test_validate_config_accepts_base(tmp_path):
     assert cfg.plan.quantile == 0.7
 
 
+def test_validate_config_fills_in_planted_defaults():
+    raw = {"task": {"kind": "planted", "input_dim": 16}, "widths": [8],
+           "output_dir": "o"}
+    cfg = validate_config(raw)
+    assert cfg.task == {"kind": "planted", "input_dim": 16, "intrinsic_dim": 8,
+                        "num_classes": 10, "n_samples": 5000,
+                        "noise_sigma": 0.3, "margin": 0.3}
+    assert raw["task"] == {"kind": "planted", "input_dim": 16}  # not mutated
+
+
 def test_validate_config_unknown_keys_named():
     raw = _base_config("o")
     raw["typo_key"] = 1
@@ -247,6 +257,10 @@ def test_readme_config_table_lists_every_key():
 
 def test_exit_2_on_config_problems(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config file {tmp_path}: Is a directory\n")
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -345,6 +359,20 @@ def test_exit_2_on_undecodable_config(tmp_path, capsys, content, why):
     err = capsys.readouterr().err
     assert err.startswith("config error: config is not valid JSON: "), err
     assert why in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, why", [
+    pytest.param("missing.csv", "No such file or directory", id="missing"),
+    pytest.param("", "Is a directory", id="directory"),
+])
+def test_exit_2_csv_task_path_cannot_be_read(tmp_path, capsys, name, why):
+    data_path = str(tmp_path / name) if name else str(tmp_path)
+    raw = _base_config(tmp_path / "o")
+    raw["task"] = {"kind": "csv", "path": data_path}
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read task.path {data_path!r}: {why}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_2_spectrum_without_layer(tmp_path):

@@ -93,13 +93,13 @@ def test_planted_task_shapes_and_balance():
 
 
 def test_planted_task_margin_holds_on_projected_latents():
-    ds, basis = planted_subspace_task(16, 4, 3, 200, 0.0, seed=10)
-    scorer = ds.extra["scorer"]
+    ds, basis = planted_subspace_task(16, 4, 3, 200, 0.0, seed=10, margin=0.3)
+    scorer = _planted_block_ref(16, 4, 3, 200, 0.0, seed=10, margin=0.3)[3]
     z = basis.T @ ds.x  # zero ambient noise: exact latent recovery
     scores = scorer @ z
     top2 = np.sort(scores, axis=0)[-2:]
     gaps = top2[1] - top2[0]
-    assert np.all(gaps >= ds.extra["margin"] - 1e-12)
+    assert np.all(gaps >= 0.3 - 1e-12)
     assert np.array_equal(np.argmax(scores, axis=0), ds.y)
 
 
@@ -179,11 +179,11 @@ def _planted_block_ref(input_dim, intrinsic_dim, num_classes, n_samples,
 
 
 def _assert_same_task(args, margin):
-    """The generator and its per-draw reference give byte-equal x, y, basis
-    and scorer."""
+    """The generator and its per-draw reference give byte-equal x, y and
+    basis."""
     ds, basis = planted_subspace_task(*args, margin=margin)
     want = _planted_block_ref(*args, margin=margin)
-    for got, ref in zip((ds.x, ds.y, basis, ds.extra["scorer"]), want):
+    for got, ref in zip((ds.x, ds.y, basis), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
@@ -472,7 +472,7 @@ def test_csv_crlf_loads_like_lf(tmp_path):
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
     a, b = load_csv(lf), load_csv(crlf)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-    assert (a.num_classes, a.extra) == (b.num_classes, b.extra)
+    assert a.num_classes == b.num_classes == 2
 
 
 def test_csv_label_remap_is_dense_sorted(tmp_path):
@@ -482,7 +482,6 @@ def test_csv_label_remap_is_dense_sorted(tmp_path):
     # raw labels {3, 7} -> {0, 1} by sorted order
     assert ds.y.tolist() == [1, 0, 1]
     assert ds.num_classes == 2
-    assert ds.extra["label_names"] == ["3", "7"]
 
 
 def test_csv_label_column_anywhere(tmp_path):

@@ -80,7 +80,9 @@ def test_copy_is_deep():
     net = _tiny_net()
     dup = net.copy()
     dup.layers[0].weights[0, 0] = 99.0
+    dup.layers[0].bias[0] = 99.0
     assert net.layers[0].weights[0, 0] == 1.0
+    assert net.layers[0].bias[0] == 0.5
 
 
 # ------------------------------------------------------------------ forward

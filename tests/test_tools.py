@@ -1,5 +1,4 @@
-"""tools/digest_outputs.py: its benchmark runs use the benchmark's configs;
-tools/bench_pairs.py: pair wins follow each metric's direction, and both
+"""tools/bench_pairs.py: pair wins follow each metric's direction, and both
 sides are exported side by side."""
 
 import importlib.util
@@ -16,18 +15,7 @@ def _load(name, path):
     return module
 
 
-digest_outputs = _load("digest_outputs", ROOT / "tools" / "digest_outputs.py")
 bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-
-
-def test_digest_runs_use_the_benchmark_configs():
-    # the digest byte-checks what the benchmark times; loading perfbench/run.py
-    # only defines its constants and functions
-    perfbench = _load("perfbench_run", ROOT / "perfbench" / "run.py")
-    runs = {name: config for name, config, _ in digest_outputs.RUNS}
-    for run, workload in (("compress", "toy"), ("wide-compress", "wide"),
-                          ("spectrum-wide", "spectrum")):
-        assert runs[run] == perfbench.WORKLOADS[workload]["config"], run
 
 
 def test_bench_pairs_summary_counts_wins_by_direction():

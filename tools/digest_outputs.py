@@ -19,7 +19,9 @@ column a calibration column), and ``compress`` on a ``kind: "csv"`` task
 ``data.save_csv`` as the run's ``task.csv``, so ``save_csv`` and
 ``load_csv`` are byte-checked too), each run into a temporary directory.
 It prints one line ``<sha256> <run>/<seed>/<file>`` per output file, sorted
-by path.
+by path.  The toy, wide and spectrum configs are the ``WORKLOADS`` configs
+of ``perfbench/run.py``, read from that file, so the digest byte-checks
+what the benchmark times.
 
 Two checkouts that print the same listing write the same bytes, so
 ``diff`` of two listings proves a refactor changed no output.  ``--src``
@@ -28,6 +30,7 @@ imports ``rmtkd`` from another checkout's ``src/`` instead.
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -36,27 +39,20 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-TOY_CONFIG = {
-    "task": {"kind": "planted", "input_dim": 32, "intrinsic_dim": 8,
-             "num_classes": 10, "n_samples": 5000, "noise_sigma": 0.3},
-    "widths": [64, 64],
-    "distill": {"max_epochs": 40, "accuracy_threshold": 0.95},
-    "plan": {"quantile": 0.7, "layer_order": [0, 1]},
-}
+
+def _benchmark_workloads():
+    """perfbench/run.py's WORKLOADS; loading the file only defines its
+    constants and functions."""
+    path = os.path.join(ROOT, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _benchmark_workloads()
+TOY_CONFIG = WORKLOADS["toy"]["config"]
 ROLLBACK_CONFIG = dict(TOY_CONFIG, plan=dict(TOY_CONFIG["plan"], accuracy_floor=1.0))
-WIDE_CONFIG = {
-    "task": dict(TOY_CONFIG["task"], input_dim=128, intrinsic_dim=16, n_samples=20000),
-    "widths": [512, 512],
-    "distill": TOY_CONFIG["distill"],
-    "plan": TOY_CONFIG["plan"],
-}
-SPECTRUM_WIDE_CONFIG = {
-    "task": TOY_CONFIG["task"],
-    "widths": [2048],
-    "distill": TOY_CONFIG["distill"],
-    "split": {"calibration_fraction": 1.0},
-    "plan": {"quantile": 0.7, "layer_order": [0]},
-}
 # the task path is set per seed, to the run's own task.csv
 CSV_CONFIG = dict(TOY_CONFIG, task={"kind": "csv"})
 SPECTRUM = ["spectrum", "--layer", "0"]
@@ -68,8 +64,8 @@ RUNS = [
     ("compress", TOY_CONFIG, [["compress"]]),
     ("ablate", TOY_CONFIG, [["ablate", "--quantiles", "0.3,0.7"]]),
     ("compress-rollback", ROLLBACK_CONFIG, [["compress"]]),
-    ("wide-compress", WIDE_CONFIG, [["compress"]]),
-    ("spectrum-wide", SPECTRUM_WIDE_CONFIG, [["train"], SPECTRUM]),
+    ("wide-compress", WORKLOADS["wide"]["config"], [["compress"]]),
+    ("spectrum-wide", WORKLOADS["spectrum"]["config"], [["train"], SPECTRUM]),
     ("csv", CSV_CONFIG, [["compress"]]),
 ]
 
