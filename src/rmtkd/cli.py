@@ -30,7 +30,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 from .data import SplitSpec, csv_text, load_csv, planted_subspace_task, split
 from .distill import TRAINING_LOG_HEADER, DistillConfig, train_until
-from .errors import ConfigError, InvalidInput, RmtkdError
+from .errors import ConfigError, GenerationFailure, InvalidInput, RmtkdError
 from .network import (Checkpoint, init_network, load_checkpoint, param_count,
                       save_checkpoint)
 from .reducer import (CompressionPlan, IterationRecord, _hidden_layer_index,
@@ -193,6 +193,12 @@ def build_task(cfg):
                 f"planted task too large to generate (input_dim={task['input_dim']}, "
                 f"n_samples={task['n_samples']}): {e}"
             ) from None
+        except GenerationFailure as e:
+            raise ConfigError(
+                f"planted task infeasible (task.margin={task['margin']}, "
+                f"task.n_samples={task['n_samples']}, task.num_classes="
+                f"{task['num_classes']}): {e}; try a smaller task.margin"
+            ) from None
         return ds
     try:
         return load_csv(task["path"], label_column=task.get("label_column", "label"))
@@ -281,6 +287,9 @@ def cmd_train(cfg):
 
 def cmd_spectrum(cfg, layer_ordinal):
     cp_path = os.path.join(cfg.output_dir, "checkpoint.rmtk")
+    if not os.path.isfile(cp_path):
+        raise InvalidInput(f"no checkpoint at {cp_path}; run train with the same "
+                           "config first")
     cp = load_checkpoint(cp_path)
     net = cp.network
     try:

@@ -54,17 +54,16 @@ class DistillConfig:
 
 
 def softmax(logits):
-    z = logits - np.max(logits, axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=0, keepdims=True)
+    e = np.exp(logits - np.max(logits, axis=0, keepdims=True))
+    e /= np.sum(e, axis=0, keepdims=True)
+    return e
 
 
 def _kl_terms(p_old, p_new):
     """Elementwise p_old * (log p_old - log max(p_new, EPSILON_PROB)), 0 where p_old = 0."""
-    qf = np.maximum(p_new, EPSILON_PROB)
-    mask = p_old > 0
-    terms = np.zeros_like(p_old)
-    terms[mask] = p_old[mask] * (np.log(p_old[mask]) - np.log(qf[mask]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, then 0 * -inf
+        terms = p_old * (np.log(p_old) - np.log(np.maximum(p_new, EPSILON_PROB)))
+    terms[~(p_old > 0)] = 0.0  # and where p_old is NaN, from a diverged teacher
     return terms
 
 
@@ -115,12 +114,13 @@ def combined_loss(logits_new, logits_old, labels, alpha):
         p_old = softmax(old)
         kl = float(_kl_terms(p_old, p_new).sum() / b)
     loss = alpha * ce + (1.0 - alpha) * kl
-    onehot = np.zeros_like(p_new)
-    onehot[labels, cols] = 1.0
-    grad = alpha * (p_new - onehot)
+    grad = p_new.copy()
+    grad[labels, cols] -= 1.0
+    grad *= alpha
     if old is not None:
-        grad = grad + (1.0 - alpha) * (p_new - p_old)
-    return loss, grad / b, ce, kl
+        grad += (1.0 - alpha) * (p_new - p_old)
+    grad /= b
+    return loss, grad, ce, kl
 
 
 def snapshot_teacher(net):

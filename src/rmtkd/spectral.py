@@ -175,10 +175,9 @@ def eig_sym(matrix, n_samples=None, vectors=True):
     rows = None
     if vectors:
         rows = v[:, order].T.copy()
-        for i in range(rows.shape[0]):
-            j = int(np.argmax(np.abs(rows[i])))
-            if rows[i, j] < 0:
-                rows[i] = -rows[i]
+        # |rows| goes into v, dead by now, so no third d x d array is made
+        j = np.argmax(np.abs(rows, out=v), axis=1)
+        rows *= np.where(rows[np.arange(len(j)), j] < 0, -1.0, 1.0)[:, None]
     d = a.shape[0]
     n = d if n_samples is None else int(n_samples)
     return Spectrum(eigenvalues=w, d=d, n=n), rows

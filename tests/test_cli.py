@@ -380,9 +380,12 @@ def test_exit_2_spectrum_without_layer(tmp_path):
     assert main(["spectrum", "--config", cfgp]) == 2
 
 
-def test_exit_1_spectrum_without_checkpoint(tmp_path):
+def test_exit_1_spectrum_without_checkpoint(tmp_path, capsys):
     cfgp = _write_config(tmp_path, _base_config(tmp_path / "o"))
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    cp = tmp_path / "o" / "checkpoint.rmtk"
+    assert capsys.readouterr().err == (
+        f"error: no checkpoint at {cp}; run train with the same config first\n")
 
 
 def test_exit_1_spectrum_on_v1_checkpoint(tmp_path, capsys):
@@ -541,6 +544,18 @@ def test_exit_2_planted_task_too_big_to_allocate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: planted task too large" in err
     assert "input_dim=100000000000" in err and "n_samples=600" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_2_planted_margin_infeasible(tmp_path, capsys):
+    raw = {"task": {"kind": "planted", "input_dim": 16, "intrinsic_dim": 4,
+                    "num_classes": 3, "n_samples": 600, "margin": 50},
+           "widths": [16], "output_dir": str(tmp_path / "o")}
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: planted task infeasible "), err
+    assert "task.margin=50" in err and "task.n_samples=600" in err
+    assert "task.num_classes=3" in err and "within 6000 draws" in err
     assert not (tmp_path / "o").exists()
 
 

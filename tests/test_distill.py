@@ -159,6 +159,52 @@ def test_combined_loss_gradient_finite_difference():
         assert abs(fd - grad[i, j]) < 1e-6 * max(1.0, abs(fd))
 
 
+def _reference_combined_loss(new, old, labels, alpha):
+    """combined_loss as first written: masked KL gathers and a one-hot array."""
+    def soft(logits):
+        z = logits - np.max(logits, axis=0, keepdims=True)
+        e = np.exp(z)
+        return e / np.sum(e, axis=0, keepdims=True)
+
+    b = new.shape[1]
+    cols = np.arange(b)
+    p_new = soft(new)
+    ce = float(-np.mean(np.log(np.maximum(p_new[labels, cols], distill.EPSILON_PROB))))
+    kl = 0.0
+    if old is not None:
+        p_old = soft(old)
+        qf = np.maximum(p_new, distill.EPSILON_PROB)
+        mask = p_old > 0
+        terms = np.zeros_like(p_old)
+        terms[mask] = p_old[mask] * (np.log(p_old[mask]) - np.log(qf[mask]))
+        kl = float(terms.sum() / b)
+    loss = alpha * ce + (1.0 - alpha) * kl
+    onehot = np.zeros_like(p_new)
+    onehot[labels, cols] = 1.0
+    grad = alpha * (p_new - onehot)
+    if old is not None:
+        grad = grad + (1.0 - alpha) * (p_new - p_old)
+    return loss, grad / b, ce, kl
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("teacher", ["none", "plain", "underflow"])
+def test_combined_loss_matches_reference_bytes(alpha, teacher):
+    rng = make_rng(11)
+    new = normal(rng, (10, 67), std=3.0)
+    labels = np.arange(67) % 10
+    old = None if teacher == "none" else normal(rng, (10, 67), std=3.0)
+    if teacher == "underflow":  # exp underflows: teacher probabilities of exactly 0
+        old[:, ::2] *= 400.0
+    got = combined_loss(new, old, labels, alpha)
+    want = _reference_combined_loss(new, old, labels, alpha)
+    if teacher == "underflow":
+        assert np.count_nonzero(softmax(old) == 0.0) > 100
+    for i in (0, 2, 3):  # loss, ce, kl
+        assert float(got[i]).hex() == float(want[i]).hex()
+    assert got[1].tobytes() == want[1].tobytes()  # the gradient
+
+
 def test_combined_loss_validates_shapes():
     with pytest.raises(InvalidInput):
         combined_loss(np.ones((3, 2)), None, np.array([0, 1, 2]), alpha=0.5)

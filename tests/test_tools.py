@@ -1,5 +1,5 @@
 """tools/bench_pairs.py: pair wins follow each metric's direction, and both
-sides are exported side by side."""
+sides are exported side by side without touching the checkout."""
 
 import importlib.util
 import subprocess
@@ -63,3 +63,32 @@ def test_bench_pairs_exports_both_sides_as_siblings(tmp_path, monkeypatch):
     assert (change / "pkg" / "mod.py").read_text() == "X = 2\n"
     assert (parent / "gone.py").exists() and not (change / "gone.py").exists()
     assert (change / "new.py").exists() and not (change / "built").exists()
+
+
+def test_bench_pairs_export_leaves_the_checkout_as_it_was(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "a.py").write_text("A = 1\n")
+    (repo / "b.py").write_text("")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "a.py").write_text("A = 2\n")
+    _git(repo, "add", "a.py")  # staged
+    (repo / "a.py").write_text("A = 3\n")  # then edited again
+    (repo / "b.py").unlink()
+    (repo / "new.py").write_text("")
+
+    def state():
+        return [subprocess.run(["git", *args], cwd=repo, capture_output=True,
+                               check=True).stdout
+                for args in (["status", "--porcelain"], ["diff", "--cached"])]
+
+    before = state()
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    out = tmp_path / "export"
+    out.mkdir()
+    _, trees = bench_pairs.export("HEAD", str(out))
+    assert state() == before
+    assert b"A = 2" in before[1] and b"?? new.py" in before[0]
+    assert (Path(trees["change"]) / "a.py").read_text() == "A = 3\n"

@@ -3,10 +3,10 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workloads spectrum \\
         --pairs 10 --out BENCH_14.json
 
-Exports ``--parent`` with ``git archive`` and copies this checkout's
-working tree (tracked and untracked files that git does not ignore, so
-uncommitted edits count) into two sibling directories of one temporary
-directory, so that both sides run from the same kind of place.  Then it
+Exports ``--parent`` and this checkout's working tree (edits and untracked
+files that git does not ignore count, deleted files do not) through one
+``git archive`` path into two sibling directories of one temporary directory,
+so both sides get the same kind of place, file rules and mtimes.  Then it
 runs ``perfbench/run.py`` in each, ``--pairs`` times per workload,
 alternating which side runs first.  Both sides get the same ``--seconds`` and
 ``--workload-seed``.  The JSON file records, per ``<workload>/<seed>``, each
@@ -19,7 +19,6 @@ already in ``--out`` for other workloads or seeds are kept.
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -29,29 +28,30 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _git(*args, env=None):
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def export(rev, directory):
     """Write commit ``rev`` to ``directory/parent`` and this checkout's working
-    tree to ``directory/change``; return (rev's hash, {side: tree})."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                         cwd=ROOT, capture_output=True, text=True, check=True)
-    sha = sha.stdout.strip()
-    archive = os.path.join(directory, "parent.tar")
-    subprocess.run(["git", "archive", "--output", archive, sha], cwd=ROOT, check=True)
-    trees = {side: os.path.join(directory, side) for side in ("parent", "change")}
+    tree to ``directory/change``; return (rev's hash, {side: tree}).  The
+    working tree is written as a tree object through a scratch index, so the
+    checkout's own index is left as it is."""
+    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    env = {**os.environ, "GIT_INDEX_FILE": os.path.join(directory, "index")}
+    _git("add", "-A", env=env)
+    sources = {"parent": f"{sha}^{{tree}}", "change": _git("write-tree", env=env)}
     # extraction filters arrived in Python 3.10.12 / 3.11.4
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
-    with tarfile.open(archive) as tar:
-        tar.extractall(trees["parent"], **safe)
-    os.unlink(archive)
-    listing = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=ROOT, capture_output=True, check=True).stdout.decode("utf-8")
-    for rel in filter(None, listing.split("\0")):
-        source = os.path.join(ROOT, rel)
-        if os.path.isfile(source):  # a deleted tracked file is still listed
-            target = os.path.join(trees["change"], rel)
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            shutil.copy2(source, target)
+    trees = {}
+    for side, tree in sources.items():
+        archive = os.path.join(directory, f"{side}.tar")
+        _git("archive", "--output", archive, tree)
+        trees[side] = os.path.join(directory, side)
+        with tarfile.open(archive) as tar:
+            tar.extractall(trees[side], **safe)
+        os.unlink(archive)
     return sha, trees
 
 
