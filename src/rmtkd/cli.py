@@ -33,9 +33,9 @@ from .distill import TRAINING_LOG_HEADER, DistillConfig, train_until
 from .errors import ConfigError, GenerationFailure, InvalidInput, RmtkdError
 from .network import (Checkpoint, init_network, load_checkpoint, param_count,
                       save_checkpoint)
-from .reducer import (CompressionPlan, IterationRecord, _hidden_layer_index,
-                      analyse_layer, check_calibration_rank, final_accuracy,
-                      quantile_ablation, run_loop)
+from .reducer import (CompressionPlan, IterationRecord, analyse_layer,
+                      check_calibration_rank, final_accuracy, quantile_ablation,
+                      run_loop)
 from .rng import derive_seed, make_rng, normal
 
 DEFAULT_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -273,7 +273,7 @@ def cmd_train(cfg):
     parts = _split_parts(cfg, build_task(cfg))
     log_rows = []
     net, epochs, acc = _warm_up(cfg, parts, log_rows)
-    trainable, frozen = param_count(net)
+    trainable, _ = param_count(net)
     staged = {
         "training_log.csv": csv_text(TRAINING_LOG_HEADER, log_rows),
         "checkpoint.rmtk": _checkpoint_bytes(net, {
@@ -290,14 +290,9 @@ def cmd_spectrum(cfg, layer_ordinal):
     if not os.path.isfile(cp_path):
         raise InvalidInput(f"no checkpoint at {cp_path}; run train with the same "
                            "config first")
-    cp = load_checkpoint(cp_path)
-    net = cp.network
-    try:
-        layer_id = _hidden_layer_index(net, layer_ordinal)
-    except InvalidInput as e:
-        raise ConfigError(str(e)) from e
+    net = load_checkpoint(cp_path).network
     _, _, cal_part = _split_parts(cfg, build_task(cfg))
-    spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_id,
+    spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_ordinal,
                                                     cfg.plan.quantile,
                                                     vectors=False)
     edges = fit.bin_edges.tolist()
@@ -396,6 +391,8 @@ def main(argv=None):
         if args.command == "spectrum":
             if args.layer is None:
                 raise ConfigError("spectrum needs --layer")
+            if not 0 <= args.layer < len(cfg.widths):
+                raise ConfigError(f"--layer {args.layer} does not name a hidden layer")
             return cmd_spectrum(cfg, args.layer)
         if args.command == "compress":
             return cmd_compress(cfg)

@@ -153,6 +153,8 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
     at the first epoch whose validation accuracy >= cfg.accuracy_threshold,
     or after cfg.max_epochs, and restores the best-validation weights seen
     (earliest epoch on ties).  Returns ``(net, epochs_used, val_accuracy)``.
+    ``net`` is trained in place and the returned net is that same object, so
+    a caller that needs the starting weights passes ``net.copy()``.
     Raises NumericalFailure, naming the epoch and batch, at the first
     non-finite batch loss.
 

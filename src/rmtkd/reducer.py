@@ -26,8 +26,8 @@ ORTHO_TOL = 1e-8
 @dataclass
 class Projection:
     matrix: np.ndarray  # k x d, orthonormal rows, descending eigenvalue order
-    layer_id: int
-    retained_eigenvalues: list
+    layer_id: int  # hidden-layer ordinal
+    retained_eigenvalues: list = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -53,7 +53,7 @@ class CompressionPlan:
 @dataclass
 class IterationRecord:
     iteration: int
-    layer_id: int
+    layer_id: int  # hidden-layer ordinal
     d: int
     k: int
     sigma2: float
@@ -68,19 +68,19 @@ def apply_projection(net, proj):
     """Insert a frozen projection after its layer and resize downstream.
 
     Returns a new network: a bias-free identity-activation layer with
-    weights P follows layer ``proj.layer_id``, and the next trainable
-    layer's weights W (out x d) are warm-started as W P^T (out x k).  The
-    original network is left untouched.
+    weights P follows hidden layer ``proj.layer_id`` (an ordinal), and the
+    next trainable layer's weights W (out x d) are warm-started as W P^T
+    (out x k).  The original network is left untouched.
     """
-    i = proj.layer_id
-    if not 0 <= i < len(net.layers) - 1:
-        raise InvalidInput(f"layer {i} is not a hidden layer")
+    o = proj.layer_id
+    i = _hidden_layer_index(net, o)
     target = net.layers[i]
     d = proj.matrix.shape[1]
     if target.out_dim != d:
-        raise InvalidInput(f"layer {i} outputs {target.out_dim}, projection expects {d}")
+        raise InvalidInput(f"hidden layer {o} outputs {target.out_dim}, "
+                           f"projection expects {d}")
     if net.layers[i + 1].frozen:
-        raise AlreadyProjected(f"layer {i} already feeds a projection")
+        raise AlreadyProjected(f"hidden layer {o} already feeds a projection")
     out = net.copy()
     p_layer = DenseLayer(weights=proj.matrix, bias=None,
                          activation="identity", frozen=True)
@@ -92,7 +92,8 @@ def apply_projection(net, proj):
 
 
 def _hidden_layer_index(net, ordinal):
-    """Current index of the ``ordinal``-th non-frozen hidden layer."""
+    """Current index in ``net.layers`` of the ``ordinal``-th non-frozen
+    hidden layer; the one place that knows a frozen P shifts positions."""
     hidden = [i for i, l in enumerate(net.layers[:-1]) if not l.frozen]
     if not 0 <= ordinal < len(hidden):
         raise InvalidInput(f"no hidden layer ordinal {ordinal}")
@@ -100,7 +101,7 @@ def _hidden_layer_index(net, ordinal):
 
 
 class _LayerRows:
-    """Row source of layer ``layer_id``'s output on ``cal_x``, for
+    """Row source of the output of ``net.layers[index]`` on ``cal_x``, for
     :func:`compute_covariance`.
 
     The layers before it run once, at construction.  ``rows[i:j]`` runs
@@ -108,11 +109,11 @@ class _LayerRows:
     full d x n output never exists; the rows are the same bits.
     """
 
-    def __init__(self, net, layer_id, cal_x):
-        self.layer = net.layers[layer_id]
+    def __init__(self, net, index, cal_x):
+        self.layer = net.layers[index]
         self.x = cal_x
-        if layer_id:
-            prefix = Network(layers=net.layers[:layer_id], input_dim=net.input_dim,
+        if index:
+            prefix = Network(layers=net.layers[:index], input_dim=net.input_dim,
                              num_classes=self.layer.in_dim)
             self.x, _ = forward(prefix, cal_x, keep_acts=False)
         self.shape = (self.layer.out_dim,) + np.shape(self.x)[1:]
@@ -127,26 +128,25 @@ class _LayerRows:
         return out
 
 
-def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
-    """Fit the noise bulk of one layer's calibration spectrum.
+def analyse_layer(net, cal_x, ordinal, quantile, vectors=True):
+    """Fit the noise bulk of one hidden layer's calibration spectrum.
 
-    ``layer_id`` indexes ``net.layers`` and must name a non-frozen hidden
-    layer; ``cal_x`` is the dim x n calibration batch.  Runs the layers
-    before it once, then builds the covariance of the layer's activations
-    from blocks of rows recomputed on demand (:class:`_LayerRows`), so the
-    whole d x n activation never exists beside it; eigendecomposes that
-    covariance, fits sigma2 from the ``quantile`` init and splits the
-    spectrum at the fitted bulk edge.
+    ``ordinal`` counts the non-frozen hidden layers from 0, as
+    ``plan.layer_order`` does; ``cal_x`` is the dim x n calibration batch.
+    Runs the layers before it once, then builds the covariance of the
+    layer's activations from blocks of rows recomputed on demand
+    (:class:`_LayerRows`), so the whole d x n activation never exists
+    beside it; eigendecomposes that covariance, fits sigma2 from the
+    ``quantile`` init and splits the spectrum at the fitted bulk edge.
     Returns ``(spectrum, model, partition, fit)``.  With ``vectors=False``
     only eigenvalues are computed and the partition carries no vectors.
 
-    Raises DegenerateSpectrum, naming the layer, when the spectrum cannot
-    be fitted: the quantile init is round-off (too many zero eigenvalues,
+    Raises InvalidInput when ``net`` has no such hidden layer, and
+    DegenerateSpectrum, naming the ordinal, when the spectrum cannot be
+    fitted: the quantile init is round-off (too many zero eigenvalues,
     typically d > n) or the fit itself is undefined.
     """
-    if not 0 <= layer_id < len(net.layers) - 1 or net.layers[layer_id].frozen:
-        raise InvalidInput(f"layer {layer_id} is not a reducible hidden layer")
-    x = _LayerRows(net, layer_id, cal_x)
+    x = _LayerRows(net, _hidden_layer_index(net, ordinal), cal_x)
     cov, n = compute_covariance(x), x.shape[1]
     del x  # the prefix's output, so it never shares memory with the eigensolver's copy
     spectrum, vecs = eig_sym(cov, n_samples=n, vectors=vectors)
@@ -155,7 +155,7 @@ def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
     if s2_init <= floor:
         zeros = int(np.sum(spectrum.clamped <= floor))
         raise DegenerateSpectrum(
-            f"layer {layer_id}: the sigma2 init at quantile {quantile} is round-off "
+            f"hidden layer {ordinal}: the sigma2 init at quantile {quantile} is round-off "
             f"({s2_init:.3g}); {zeros} of d={spectrum.d} eigenvalues are zero "
             f"with n={spectrum.n} calibration samples; raise plan.quantile or "
             f"split.calibration_fraction"
@@ -163,7 +163,7 @@ def analyse_layer(net, cal_x, layer_id, quantile, vectors=True):
     try:
         sigma2, fit = fit_sigma2(spectrum, s2_init)
     except DegenerateSpectrum as e:
-        raise DegenerateSpectrum(f"layer {layer_id}: {e}") from e
+        raise DegenerateSpectrum(f"hidden layer {ordinal}: {e}") from e
     model = MPModel(sigma2=sigma2, q=spectrum.q)
     return spectrum, model, classify(spectrum, vecs, model), fit
 
@@ -184,18 +184,18 @@ def check_calibration_rank(widths, n, plan, quantiles):
         for q in quantiles:
             if n < d and q * (d - 1) <= d - n - 1:
                 raise DegenerateSpectrum(
-                    f"layer {o}: the sigma2 init at quantile {q} is round-off; "
+                    f"hidden layer {o}: the sigma2 init at quantile {q} is round-off; "
                     f"at least {d - n} of d={d} eigenvalues are zero with n={n} "
                     f"calibration samples; raise plan.quantile or "
                     f"split.calibration_fraction"
                 )
 
 
-def compress_step(net, data, plan, cfg, layer_id, rng, acc_before, iteration=0):
-    """One analyse -> project -> fine-tune step at ``layer_id``.
+def compress_step(net, data, plan, cfg, ordinal, rng, acc_before, iteration=0):
+    """One analyse -> project -> fine-tune step at hidden layer ``ordinal``.
 
-    ``data`` is the (train, val, calibration) triple; ``layer_id`` indexes
-    the current network's layers and must name a non-frozen hidden layer.
+    ``data`` is the (train, val, calibration) triple; ``ordinal`` counts
+    the non-frozen hidden layers from 0, as ``plan.layer_order`` does.
     ``acc_before`` is the input network's validation accuracy, which the
     caller already knows.  Returns ``(new_net, IterationRecord)``; the input
     network is never mutated.  A spectrum with no spikes, or with every
@@ -204,17 +204,16 @@ def compress_step(net, data, plan, cfg, layer_id, rng, acc_before, iteration=0):
     DegenerateSpectrum from :func:`analyse_layer` propagates.
     """
     train_part, val_part, cal_part = data
-    spectrum, model, partition, _ = analyse_layer(net, cal_part.x, layer_id,
+    spectrum, model, partition, _ = analyse_layer(net, cal_part.x, ordinal,
                                                   plan.quantile)
     new_net, acc_after = net, acc_before
     if 0 < partition.k < spectrum.d:
-        proj = Projection(partition.spike_eigenvectors, layer_id,
-                          [float(v) for v in spectrum.eigenvalues[:partition.k]])
+        proj = Projection(partition.spike_eigenvectors, ordinal)
         new_net, _, acc_after = train_until(
             apply_projection(net, proj), (train_part, val_part), cfg,
             teacher=snapshot_teacher(net), rng=rng)
     return new_net, IterationRecord(
-        iteration=iteration, layer_id=layer_id, d=spectrum.d,
+        iteration=iteration, layer_id=ordinal, d=spectrum.d,
         k=partition.k or spectrum.d, sigma2=model.sigma2,
         lambda_plus=model.lambda_plus, acc_before=acc_before,
         acc_after_finetune=acc_after, params_before=param_count(net)[0],
@@ -242,8 +241,7 @@ def run_loop(net, data, plan, cfg, rng, acc=None):
         acc = accuracy(net, val_part.x, val_part.y)
     history = []
     for step, ordinal in enumerate(plan.layer_order):
-        layer_id = _hidden_layer_index(net, ordinal)
-        new_net, record = compress_step(net, data, plan, cfg, layer_id, rng, acc,
+        new_net, record = compress_step(net, data, plan, cfg, ordinal, rng, acc,
                                         iteration=step)
         history.append(record)
         if rolled_back(record, plan):

@@ -666,9 +666,12 @@ def test_spectrum_agrees_with_compress_first_step(tmp_path):
     assert main(["compress", "--config", cfgp, "--out", str(out_c)]) == 0
 
     model = json.loads((tmp_path / "spectrum" / "mp_model.json").read_text())
-    header, row0 = (out_c / "history.csv").read_text().split("\n")[:2]
-    step = dict(zip(header.split(","), row0.split(",")))
-    assert step["layer_id"] == "0"
+    header, *rows = (out_c / "history.csv").read_text().splitlines()
+    steps = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    # layer_id is the hidden-layer ordinal, not the index the first step's
+    # frozen projection shifts the second layer to
+    assert [s["layer_id"] for s in steps] == ["0", "1"]
+    step = steps[0]
     assert model["k"] == int(step["k"])
     sigma2 = float(step["sigma2"])
     assert abs(model["sigma2"] - sigma2) <= 1e-12 * sigma2
@@ -712,11 +715,19 @@ def test_spectrum_on_damaged_checkpoint_exits_typed(trained_checkpoint, data):
         assert all(np.isfinite(v) for v in model.values())
 
 
-def test_spectrum_bad_layer_ordinal(tmp_path):
+def test_spectrum_bad_layer_ordinal(tmp_path, capsys):
     out = tmp_path / "run"
-    cfgp = _write_config(tmp_path, _base_config(out))
+    raw = _base_config(out)
+    cfgp = _write_config(tmp_path, raw)
     assert main(["train", "--config", cfgp]) == 0
     assert main(["spectrum", "--config", cfgp, "--layer", "5"]) == 2
+    # --layer is checked against widths; a checkpoint with fewer hidden
+    # layers than the config lists is a runtime failure naming the ordinal
+    raw["widths"] = [32, 32]
+    cfgp = _write_config(tmp_path, raw, name="wider.json")
+    capsys.readouterr()
+    assert main(["spectrum", "--config", cfgp, "--layer", "1"]) == 1
+    assert capsys.readouterr().err == "error: no hidden layer ordinal 1\n"
 
 
 def test_round_off_quantile_init_fails_with_context(tmp_path, capsys):
@@ -737,7 +748,7 @@ def test_round_off_quantile_init_fails_with_context(tmp_path, capsys):
                  ["compress", "--config", cfgp, "--out", str(compress_out)]):
         assert main(argv) == 1, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith("error: layer 0: ") and "Traceback" not in err
+        assert err.startswith("error: hidden layer 0: ") and "Traceback" not in err
         assert "quantile 0.1" in err and "d=64" in err and "n=48" in err
         zeros = re.search(r"(\d+) of d=64 eigenvalues are zero", err)
         assert zeros and int(zeros.group(1)) >= 64 - 48
@@ -764,7 +775,7 @@ def test_sure_degenerate_layer_fails_before_training(tmp_path, capsys, monkeypat
         raw["plan"]["quantile"] = quantile
         assert main(argv + ["--config", _write_config(tmp_path, raw)]) == 1, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: layer 1: ") and "Traceback" not in err
+        assert err.startswith("error: hidden layer 1: ") and "Traceback" not in err
         assert f"quantile {named} is round-off" in err
         assert "16 of d=64 eigenvalues are zero with n=48" in err
         assert "plan.quantile" in err and "split.calibration_fraction" in err
@@ -776,6 +787,20 @@ def test_sure_degenerate_layer_fails_before_training(tmp_path, capsys, monkeypat
         raw["plan"] = plan
         cfg = validate_config(raw)
         check_calibration_rank(cfg.widths, 48, cfg.plan, [cfg.plan.quantile])
+
+
+def test_degenerate_layer_named_by_its_ordinal(tmp_path, capsys):
+    # hidden layer 1 turns out degenerate at quantile 0.3 only after layer 0
+    # was projected, so a frozen P sits in front of it: the message still
+    # names the config's ordinal
+    raw = {"task": {"kind": "planted", "input_dim": 8, "intrinsic_dim": 4,
+                    "num_classes": 3, "n_samples": 600},
+           "widths": [8, 8], "plan": {"quantile": 0.5}, "seed": 2,
+           "output_dir": str(tmp_path / "o")}
+    argv = ["ablate", "--quantiles", "0.3,0.7", "--config", _write_config(tmp_path, raw)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hidden layer 1: ") and "Traceback" not in err
 
 
 # ----------------------------------------------------------- compress output

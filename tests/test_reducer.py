@@ -121,13 +121,12 @@ def _toy_step(monkeypatch, k_spikes, d=6):
 
 def test_build_projection_spike_rows(monkeypatch):
     # the projection compress_step builds: the spike eigenvectors as rows,
-    # the leading eigenvalues as the retained ones, the analysed layer's id
+    # the analysed layer's ordinal
     _, new_net, rec, projections, fits = _toy_step(monkeypatch, 2)
     assert len(projections) == 1 and fits == 1
     proj = projections[0]
     assert proj.matrix.shape == (2, 6)
     assert np.array_equal(proj.matrix, np.eye(6)[:2])
-    assert proj.retained_eigenvalues == [6.0, 5.0]
     assert proj.layer_id == 1
     assert np.array_equal(new_net.layers[2].weights, proj.matrix)
     assert rec.k == 2 and rec.d == 6 and rec.acc_after_finetune == 0.5
@@ -252,11 +251,11 @@ def test_analyse_layer_values_only_keeps_k():
     assert np.max(np.abs(spec_v.eigenvalues - spec.eigenvalues)) <= 1e-12 * scale
 
 
-def _analyse_from_full_forward(net, cal_x, layer_id, quantile):
+def _analyse_from_full_forward(net, cal_x, ordinal, quantile):
     """analyse_layer's pipeline on the activations of a whole-network pass,
     with the covariance as one full product."""
     _, acts = forward(net, cal_x)
-    x = acts[layer_id + 1]
+    x = acts[_hidden_layer_index(net, ordinal) + 1]
     spec, vecs = eig_sym(x @ x.T / x.shape[1], n_samples=x.shape[1])
     sigma2, _ = fit_sigma2(spec, init_sigma2(spec, quantile))
     model = MPModel(sigma2=sigma2, q=spec.q)
@@ -272,11 +271,11 @@ def test_analyse_layer_matches_full_forward_bits():
                                                  retained_eigenvalues=[0.0] * 10))
     cal_x = parts[2].x
     # every hidden layer, and the layers behind a frozen projection
-    for model_net, layer_ids in ((net, (0, 1, 2)), (projected, (0, 2, 3))):
-        for layer_id in layer_ids:
-            spec, model, part, _ = analyse_layer(model_net, cal_x, layer_id, 0.5)
+    for model_net in (net, projected):
+        for ordinal in (0, 1, 2):
+            spec, model, part, _ = analyse_layer(model_net, cal_x, ordinal, 0.5)
             ref_spec, ref_model, ref_part = _analyse_from_full_forward(
-                model_net, cal_x, layer_id, 0.5)
+                model_net, cal_x, ordinal, 0.5)
             assert (spec.d, spec.n) == (ref_spec.d, ref_spec.n)
             assert np.array_equal(spec.eigenvalues, ref_spec.eigenvalues)
             assert model.sigma2 == ref_model.sigma2
