@@ -40,13 +40,12 @@ from .rng import derive_seed, make_rng, normal
 
 DEFAULT_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
-_TASK_KEYS = {
-    "planted": {"kind", "input_dim", "intrinsic_dim", "num_classes",
-                "n_samples", "noise_sigma", "margin"},
-    "csv": {"kind", "path", "label_column"},
-}
 _PLANTED_DEFAULTS = {"input_dim": 32, "intrinsic_dim": 8, "num_classes": 10,
                      "n_samples": 5000, "noise_sigma": 0.3, "margin": 0.3}
+_TASK_KEYS = {
+    "planted": {"kind", *_PLANTED_DEFAULTS},
+    "csv": {"kind", "path", "label_column"},
+}
 # Each section's keys are its dataclass's fields; the split seed is derived.
 _DISTILL_KEYS = {f.name for f in fields(DistillConfig)}
 _PLAN_KEYS = {f.name for f in fields(CompressionPlan)}
@@ -295,6 +294,9 @@ def cmd_spectrum(cfg, layer_ordinal):
     spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_ordinal,
                                                     cfg.plan.quantile,
                                                     vectors=False)
+    if spectrum.d != cfg.widths[layer_ordinal]:
+        raise InvalidInput(f"{cp_path}: hidden layer {layer_ordinal} is {spectrum.d} wide, "
+                           f"widths[{layer_ordinal}] is {cfg.widths[layer_ordinal]}")
     edges = fit.bin_edges.tolist()
     staged = {
         "eigenvalues.csv": csv_text(("index", "eigenvalue"),
@@ -386,6 +388,10 @@ def main(argv=None):
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         cfg = validate_config(raw, out_override=args.out, seed_override=args.seed)
+        for flag, value, command in (("--layer", args.layer, "spectrum"),
+                                     ("--quantiles", args.quantiles, "ablate")):
+            if value is not None and args.command != command:
+                raise ConfigError(f"{flag} is for {command} only, not {args.command}")
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "spectrum":

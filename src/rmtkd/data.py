@@ -205,17 +205,9 @@ def split(ds, spec):
     proportional allocation; index selection is deterministic per seed.
     """
     rng = make_rng(spec.seed)
-    class_indices = {}
+    train_idx, val_idx, cal_idx = [], [], []
     for c in range(ds.num_classes):
         idx = np.nonzero(ds.y == c)[0]
-        if len(idx) < 2:
-            raise InvalidInput(f"class {c} has too few examples to stratify")
-        class_indices[c] = idx
-
-    train_idx = []
-    val_idx = []
-    cal_idx = []
-    for c, idx in class_indices.items():
         n_train = int(round(spec.train_fraction * len(idx)))
         if n_train == 0 or n_train == len(idx):
             raise InvalidInput(f"class {c} has too few examples to stratify")

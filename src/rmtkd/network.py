@@ -241,9 +241,10 @@ def load_checkpoint(path):
     try:
         hlen = struct.unpack("<I", blob[off:off + 4])[0]
         off += 4
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
-        if len(blob[off:off + hlen]) < hlen:
+        raw = blob[off:off + hlen]
+        if len(raw) < hlen:
             raise CorruptFile(f"{path}: truncated header")
+        header = json.loads(raw.decode("utf-8"))
         off += hlen
         if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
             raise CorruptFile(f"{path}: header has no list of layers")

@@ -153,13 +153,8 @@ def analyse_layer(net, cal_x, ordinal, quantile, vectors=True):
     s2_init = init_sigma2(spectrum, quantile)
     floor = SYM_TOL * spectrum.clamped[0]
     if s2_init <= floor:
-        zeros = int(np.sum(spectrum.clamped <= floor))
-        raise DegenerateSpectrum(
-            f"hidden layer {ordinal}: the sigma2 init at quantile {quantile} is round-off "
-            f"({s2_init:.3g}); {zeros} of d={spectrum.d} eigenvalues are zero "
-            f"with n={spectrum.n} calibration samples; raise plan.quantile or "
-            f"split.calibration_fraction"
-        )
+        raise _round_off(ordinal, quantile, int(np.sum(spectrum.clamped <= floor)),
+                         spectrum.d, spectrum.n)
     try:
         sigma2, fit = fit_sigma2(spectrum, s2_init)
     except DegenerateSpectrum as e:
@@ -183,12 +178,16 @@ def check_calibration_rank(widths, n, plan, quantiles):
         d = widths[o]
         for q in quantiles:
             if n < d and q * (d - 1) <= d - n - 1:
-                raise DegenerateSpectrum(
-                    f"hidden layer {o}: the sigma2 init at quantile {q} is round-off; "
-                    f"at least {d - n} of d={d} eigenvalues are zero with n={n} "
-                    f"calibration samples; raise plan.quantile or "
-                    f"split.calibration_fraction"
-                )
+                raise _round_off(o, q, f"at least {d - n}", d, n)
+
+
+def _round_off(ordinal, quantile, zeros, d, n):
+    """DegenerateSpectrum for a sigma2 init at ``quantile`` that falls among
+    the ``zeros`` zero eigenvalues of hidden layer ``ordinal``."""
+    return DegenerateSpectrum(
+        f"hidden layer {ordinal}: the sigma2 init at quantile {quantile} is round-off; "
+        f"{zeros} of d={d} eigenvalues are zero with n={n} calibration samples; "
+        f"raise plan.quantile or split.calibration_fraction")
 
 
 def compress_step(net, data, plan, cfg, ordinal, rng, acc_before, iteration=0):

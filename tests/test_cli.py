@@ -462,7 +462,7 @@ def test_exit_1_csv_task_too_small_to_stratify(tmp_path, capsys):
     raw = _base_config(tmp_path / "o")
     raw["task"] = {"kind": "csv", "path": str(data_path)}
     assert main(["train", "--config", _write_config(tmp_path, raw)]) == 1
-    assert capsys.readouterr().err == "error: class 1 has too few examples to stratify\n"
+    assert capsys.readouterr().err == "error: class 0 has too few examples to stratify\n"
 
 
 def test_exit_1_csv_task_not_utf8(tmp_path, capsys):
@@ -728,6 +728,27 @@ def test_spectrum_bad_layer_ordinal(tmp_path, capsys):
     capsys.readouterr()
     assert main(["spectrum", "--config", cfgp, "--layer", "1"]) == 1
     assert capsys.readouterr().err == "error: no hidden layer ordinal 1\n"
+    # and one whose analysed layer is not widths[--layer] wide, writing nothing
+    trained = sorted(os.listdir(out))
+    raw["widths"] = [64, 64]
+    cfgp = _write_config(tmp_path, raw, name="wider.json")
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    assert capsys.readouterr().err == (f"error: {out / 'checkpoint.rmtk'}: hidden layer 0 "
+                                       "is 32 wide, widths[0] is 64\n")
+    assert sorted(os.listdir(out)) == trained
+
+
+def test_exit_2_flag_of_another_command(tmp_path, capsys):
+    cfgp = _write_config(tmp_path, _base_config(tmp_path / "o"))
+    for argv, flag, command in (
+            (["train", "--layer", "5", "--quantiles", "9,9"], "--layer", "spectrum"),
+            (["compress", "--quantiles", "0.5"], "--quantiles", "ablate"),
+            (["ablate", "--layer", "0"], "--layer", "spectrum"),
+            (["spectrum", "--layer", "0", "--quantiles", "0.5"], "--quantiles", "ablate")):
+        assert main(argv + ["--config", cfgp]) == 2, argv
+        assert capsys.readouterr().err == (f"config error: {flag} is for {command} "
+                                           f"only, not {argv[0]}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_round_off_quantile_init_fails_with_context(tmp_path, capsys):
@@ -924,12 +945,27 @@ def test_ablate_grid_rows(tmp_path):
 
 # ------------------------------------------------------------------ plumbing
 
-def test_write_outputs_atomic_no_droppings(tmp_path):
+def test_write_outputs_atomic_no_droppings(tmp_path, monkeypatch):
     out = tmp_path / "o"
     write_outputs(str(out), {"a.txt": "alpha", "b.bin": b"\x00\x01"})
     assert sorted(os.listdir(out)) == ["a.txt", "b.bin"]
     assert (out / "a.txt").read_text() == "alpha"
     assert (out / "b.bin").read_bytes() == b"\x00\x01"
+
+    # a failed rename (a directory stands where c.txt goes) or a failed
+    # write leaves no temp file behind
+    (out / "c.txt").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_outputs(str(out), {"c.txt": "gamma"})
+    assert sorted(os.listdir(out)) == ["a.txt", "b.bin", "c.txt"]
+
+    def no_chmod(*args):
+        raise PermissionError("chmod refused")
+
+    monkeypatch.setattr(os, "chmod", no_chmod)
+    with pytest.raises(PermissionError):
+        write_outputs(str(out), {"d.txt": "delta"})
+    assert sorted(os.listdir(out)) == ["a.txt", "b.bin", "c.txt"]
 
 
 def test_every_csv_cell_is_a_number(tmp_path):

@@ -438,10 +438,17 @@ def test_checkpoint_truncation(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(8))
     cp = Checkpoint(network=net, metrics={})
     p = tmp_path / "t.rmtk"
-    p.write_bytes(save_checkpoint(cp))
-    p.write_bytes(p.read_bytes()[:-9])
+    blob = save_checkpoint(cp)
+    p.write_bytes(blob[:-9])
     with pytest.raises(CorruptFile):
         load_checkpoint(p)
+    # the last layer is 2 x 3 weights then 2 biases, 8 bytes each
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    for cut, what in ((blob[:12 + hlen - 1], "header"), (blob[:-8], "bias"),
+                      (blob[:-24], "weights")):
+        p.write_bytes(cut)
+        with pytest.raises(CorruptFile, match=f"truncated {what}$"):
+            load_checkpoint(p)
 
 
 def _with_header(blob, edit):

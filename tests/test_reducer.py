@@ -8,7 +8,7 @@ from rmtkd import reducer, spectral
 from rmtkd.data import (Dataset, SplitSpec, planted_subspace_task,
                         sample_noise_matrix, sample_spiked, split)
 from rmtkd.distill import DistillConfig, accuracy, train_until
-from rmtkd.errors import AlreadyProjected, InvalidInput
+from rmtkd.errors import AlreadyProjected, DegenerateSpectrum, InvalidInput
 from rmtkd.network import (DenseLayer, Network, forward, init_network,
                            param_count)
 from rmtkd.reducer import (CompressionPlan, Projection, _hidden_layer_index,
@@ -332,6 +332,20 @@ def test_analyse_layer_without_bias():
             net, parts[2].x, layer_id, 0.5)
         assert np.array_equal(spec.eigenvalues, ref_spec.eigenvalues)
         assert part.k == ref_part.k
+
+
+def test_analyse_layer_names_the_layer_of_an_unfittable_spectrum():
+    # hidden layer 1 passes [I, I] through unchanged, so its calibration
+    # covariance is I / 4: every eigenvalue is identical and the fit fails
+    eye = np.eye(4)
+    net = Network(layers=[DenseLayer(weights=eye, bias=None, activation="relu"),
+                          DenseLayer(weights=eye, bias=None, activation="relu"),
+                          DenseLayer(weights=np.ones((2, 4)), bias=np.zeros(2),
+                                     activation="identity")],
+                  input_dim=4, num_classes=2)
+    with pytest.raises(DegenerateSpectrum,
+                       match="^hidden layer 1: all eigenvalues identical$"):
+        analyse_layer(net, np.hstack([eye, eye]), 1, 0.5)
 
 
 def test_analyse_layer_makes_one_covariance_of_the_layer_shape(monkeypatch):
