@@ -21,6 +21,7 @@ each JSON file through :func:`json_text`.  Exit codes: 0 success,
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -235,7 +236,10 @@ def write_outputs(outdir, staged):
     """Atomically write {filename: str|bytes}: temp files, then renames.
 
     Each file gets the mode a plain ``open()`` would give, 0o666 less the
-    umask, not the 0o600 of its temp file.
+    umask, not the 0o600 of its temp file.  A directory where any output
+    goes is refused before the first rename, so that case renames nothing;
+    the writes are atomic per file only, so another rename failure can
+    still leave the files renamed before it.
     """
     os.makedirs(outdir, exist_ok=True)
     umask = os.umask(0)  # reading the umask means setting it; put it back
@@ -249,6 +253,10 @@ def write_outputs(outdir, staged):
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
             os.chmod(tmp, 0o666 & ~umask)
+        # a directory in an output's place would stop the renames part-way
+        for _, final in tmp_paths:
+            if os.path.isdir(final) and not os.path.islink(final):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), final)
         for tmp, final in tmp_paths:
             os.replace(tmp, final)
     except OSError:
@@ -291,6 +299,9 @@ def cmd_spectrum(cfg, layer_ordinal):
                            "config first")
     net = load_checkpoint(cp_path).network
     _, _, cal_part = _split_parts(cfg, build_task(cfg))
+    if net.input_dim != cal_part.dim:
+        raise InvalidInput(f"{cp_path}: the network's input is {net.input_dim} wide, "
+                           f"the task's data is {cal_part.dim} wide")
     spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_ordinal,
                                                     cfg.plan.quantile,
                                                     vectors=False)

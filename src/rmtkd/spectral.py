@@ -91,40 +91,45 @@ def compute_covariance(x):
     matrix need never exist whole.  Both are sliced the same way, into
     blocks of COV_BLOCK rows (d <= COV_BLOCK is one block, one product),
     and each block is made a contiguous float64 array (a copy only when
-    the slice is strided or of another dtype) and checked as finite.
+    the slice is strided or of another dtype).
     Each row of blocks sweeps its off-diagonal blocks from the last one
     back, and the final one it makes is the next row's diagonal block, so
     at most two blocks are alive; for b blocks of rows, ``x`` is sliced
-    1 + b (b - 1) / 2 times (7 for d = 2048).
+    1 + b (b - 1) / 2 times (7 for d = 2048).  The first row's sweep makes
+    every block once, and a block made again has the same bits, so only
+    the blocks of that sweep are checked as finite.
 
-    The result is exactly symmetric: an off-diagonal block is written
-    straight into its place and copied to the mirrored one, and for a
-    contiguous block ``a`` NumPy computes the diagonal ``a @ a.T`` with a
-    symmetric rank-k update and mirrors one triangle.
+    Every block product is written straight into its place in the result
+    and divided by n there while it is still in cache, so no pass over the
+    whole d x d matrix follows.  The result is exactly symmetric: an
+    off-diagonal block is copied to the mirrored one, and for a contiguous
+    block ``a`` NumPy computes the diagonal ``a @ a.T`` with a symmetric
+    rank-k update and mirrors one triangle.
     """
     if len(x.shape) != 2 or x.shape[1] < 2:
         raise InvalidInput("expected a d x n matrix with n >= 2")
     d, n = x.shape
     step = COV_BLOCK
 
-    def block(r):
+    def block(r, check):
         rows = np.ascontiguousarray(x[r:r + step], dtype=np.float64)
-        if not np.all(np.isfinite(rows)):
+        if check and not np.all(np.isfinite(rows)):
             raise InvalidInput("non-finite entry in activation matrix")
         return rows
 
     cov = np.empty((d, d))
-    xr = block(0)
+    xr = block(0, True)
     for r in range(0, d, step):
         xc = None
         for c in range((d - 1) // step * step, r, -step):
             xc = None  # drop the previous block before making the next
-            xc = block(c)
-            np.matmul(xr, xc.T, out=cov[r:r + step, c:c + step])
-            cov[c:c + step, r:r + step] = cov[r:r + step, c:c + step].T
-        cov[r:r + step, r:r + step] = xr @ xr.T
+            xc = block(c, r == 0)
+            out = np.matmul(xr, xc.T, out=cov[r:r + step, c:c + step])
+            out /= n
+            cov[c:c + step, r:r + step] = out.T
+        out = np.matmul(xr, xr.T, out=cov[r:r + step, r:r + step])
+        out /= n
         xr = xc  # block r + step, the next row's diagonal
-    cov /= n
     return cov
 
 
@@ -153,6 +158,11 @@ def eig_sym(matrix, n_samples=None, vectors=True):
     ``n_samples`` sets the Spectrum's sample count (for the aspect ratio
     q = d/n); it defaults to d when the matrix does not come from a
     covariance of known sample size.
+
+    The solver is handed ``a.T``: the matrix is exactly symmetric (or has
+    just been symmetrized), so that view has ``a``'s bits, and for a
+    C-ordered ``a`` it is Fortran-ordered, so NumPy's copy into LAPACK's
+    column-major buffer reads memory contiguously.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -165,7 +175,7 @@ def eig_sym(matrix, n_samples=None, vectors=True):
             raise InvalidInput("matrix is not symmetric within tolerance")
         a = (a + a.T) / 2.0
     try:
-        w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+        w, v = np.linalg.eigh(a.T) if vectors else (np.linalg.eigvalsh(a.T), None)
     except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"eigendecomposition failed: {e}") from e
     if not np.all(np.isfinite(w)):  # an inf entry, e.g. an overflowed covariance

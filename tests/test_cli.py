@@ -738,6 +738,21 @@ def test_spectrum_bad_layer_ordinal(tmp_path, capsys):
     assert sorted(os.listdir(out)) == trained
 
 
+def test_spectrum_on_checkpoint_of_another_input_width(tmp_path, capsys):
+    # the checkpoint takes 16 inputs; the config's task now makes 8
+    out = tmp_path / "run"
+    raw = _base_config(out)
+    assert main(["train", "--config", _write_config(tmp_path, raw)]) == 0
+    trained = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    raw["task"].update(input_dim=8, margin=0.1)
+    cfgp = _write_config(tmp_path, raw, name="narrower.json")
+    capsys.readouterr()
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    assert capsys.readouterr().err == (f"error: {out / 'checkpoint.rmtk'}: the network's "
+                                       "input is 16 wide, the task's data is 8 wide\n")
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == trained
+
+
 def test_exit_2_flag_of_another_command(tmp_path, capsys):
     cfgp = _write_config(tmp_path, _base_config(tmp_path / "o"))
     for argv, flag, command in (
@@ -966,6 +981,22 @@ def test_write_outputs_atomic_no_droppings(tmp_path, monkeypatch):
     with pytest.raises(PermissionError):
         write_outputs(str(out), {"d.txt": "delta"})
     assert sorted(os.listdir(out)) == ["a.txt", "b.bin", "c.txt"]
+
+
+def test_write_outputs_renames_nothing_when_a_target_is_a_directory(tmp_path, capsys):
+    out = tmp_path / "o2"
+    (out / "checkpoint.rmtk").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError) as err:
+        write_outputs(str(out), {"a.txt": "alpha", "checkpoint.rmtk": b"", "z.txt": ""})
+    assert err.value.filename == str(out / "checkpoint.rmtk")
+    assert os.listdir(out) == ["checkpoint.rmtk"]
+    # train renames neither its log nor its checkpoint, and names the target
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["train", "--config", cfgp]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 21] Is a directory: '{out / 'checkpoint.rmtk'}'\n")
+    assert os.listdir(out) == ["checkpoint.rmtk"]
+    assert os.listdir(out / "checkpoint.rmtk") == []
 
 
 def test_every_csv_cell_is_a_number(tmp_path):

@@ -96,8 +96,9 @@ def test_blocked_covariance_matches_full_product():
 
 
 def _assign_then_mirror_covariance(x):
-    """compute_covariance's block loop with each off-diagonal product made as
-    a temporary and assigned (the construction before ``matmul(out=...)``)."""
+    """compute_covariance's block loop with each product made as a temporary,
+    assigned and mirrored, and one division by n of the whole matrix at the
+    end (the construction before ``matmul(out=...)`` and in-block scaling)."""
     d, n = x.shape
     step = COV_BLOCK
     cov = np.empty((d, d))
@@ -111,10 +112,12 @@ def _assign_then_mirror_covariance(x):
 
 
 def test_blocked_covariance_writes_the_bits_of_assigned_blocks():
-    x = np.random.default_rng(25).normal(size=(1100, 900))
-    want = _assign_then_mirror_covariance(x)
-    assert np.array_equal(compute_covariance(x), want)
-    assert np.array_equal(compute_covariance(_RowCopies(x)), want)
+    # three blocks with a ragged last one, and the spectrum workload's four
+    for d, n in ((1100, 900), (2048, 600)):
+        x = np.random.default_rng(25).normal(size=(d, n))
+        want = _assign_then_mirror_covariance(x)
+        assert np.array_equal(compute_covariance(x), want), d
+        assert np.array_equal(compute_covariance(_RowCopies(x)), want), d
 
 
 @pytest.mark.parametrize("d", [300, 1100])
@@ -136,18 +139,25 @@ def test_covariance_converts_a_float32_array_block_by_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the covariance, two float64 blocks of rows and one diagonal product;
-    # a whole float64 copy of x would add 2048 x 600 x 8 bytes (9.8 MB)
+    # the covariance and two float64 blocks of rows; every block product
+    # is written into the covariance, so a 2 MB temporary diagonal product
+    # would not fit, nor would a whole float64 copy of x (9.8 MB)
     block = COV_BLOCK * 600 * 8
-    assert peak <= 2048 * 2048 * 8 + 2 * block + COV_BLOCK**2 * 8 + 2**20, peak
+    assert peak <= 2048 * 2048 * 8 + 2 * block + 2**20, peak
 
 
-def test_blocked_covariance_checks_the_last_block():
+@pytest.mark.parametrize("row", [0, 700, 1099], ids=["first", "middle", "ragged-last"])
+def test_blocked_covariance_checks_every_block(row):
+    # only the first row's sweep checks its blocks, and it makes every block
     x = np.random.default_rng(24).normal(size=(1100, 900))
-    x[1099, 5] = np.nan
+    x[row, 5] = np.nan
     for source in (x, _RowCopies(x)):
         with pytest.raises(InvalidInput, match="non-finite"):
             compute_covariance(source)
+    # and the row source is still sliced 1 + b (b - 1) / 2 times, b = 3
+    source = _RowCopies(np.random.default_rng(24).normal(size=(1100, 900)))
+    compute_covariance(source)
+    assert len(source.made) == 4
 
 
 # ------------------------------------------------------------------- eig_sym
@@ -214,14 +224,42 @@ def test_eig_sym_values_only_matches_full(d):
     assert np.max(np.abs(lam - full.eigenvalues)) <= 1e-12 * scale
 
 
-def test_eig_sym_exactly_symmetric_matches_eigh_bits():
-    a = _symmetric(40, 15)
-    assert np.array_equal(a, a.T)
+def test_eig_sym_hands_lapack_a_fortran_ordered_matrix(monkeypatch):
+    seen = []
+
+    def recording(solve):
+        def wrapper(a, *args, **kwargs):
+            seen.append(a.flags.f_contiguous)
+            return solve(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    a = _symmetric(50, 21)
+    near = a.copy()
+    near[3, 7] += 1e-12
+    for matrix in (a, near):
+        assert matrix.flags.c_contiguous and not matrix.flags.f_contiguous
+        for vectors in (True, False):
+            eig_sym(matrix, vectors=vectors)
+    assert seen == [True] * 4
+
+
+@pytest.mark.parametrize("d", [40, 512, 1100])
+@pytest.mark.parametrize("exact", [True, False], ids=["symmetric", "symmetrized"])
+def test_eig_sym_has_the_bits_of_lapack_on_the_c_ordered_matrix(d, exact):
+    a = _symmetric(d, 22 + d)
+    if not exact:
+        a[1, 0] += 1e-12
+    sym = a if exact else (a + a.T) / 2.0
+    assert sym.flags.c_contiguous and np.array_equal(sym, sym.T)
+    values, _ = eig_sym(a, vectors=False)
+    assert np.array_equal(values.eigenvalues, np.linalg.eigvalsh(sym)[::-1])
     spec, vecs = eig_sym(a)
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
+    w, v = np.linalg.eigh(sym)
     order = np.argsort(w)[::-1]
     rows = v[:, order].T.copy()
-    for i in range(rows.shape[0]):
+    for i in range(d):
         j = int(np.argmax(np.abs(rows[i])))
         if rows[i, j] < 0:
             rows[i] = -rows[i]

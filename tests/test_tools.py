@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: pair wins follow each metric's direction, and both
-sides are exported side by side without touching the checkout."""
+"""tools/bench_pairs.py: pair wins and verdicts follow each metric's
+direction, and both sides are exported side by side without touching the
+checkout."""
 
 import importlib.util
 import subprocess
@@ -19,8 +20,8 @@ bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 
 
 def test_bench_pairs_summary_counts_wins_by_direction():
-    spec = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower"},
-                           {"name": "final_accuracy", "better": "higher"}]}
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                           {"name": "final_accuracy", "better": "higher", "bound": 0.02}]}
     parent = [(150.0, 0.9), (152.0, 0.9), (154.0, 0.9), (156.0, 0.9)]
     change = [(110.0, 0.9), (160.0, 0.9), (112.0, 0.9), (114.0, 0.95)]
     runs = [{"parent": dict(zip(("peak_rss_mb", "final_accuracy"), p)),
@@ -32,6 +33,32 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     assert (acc["change_wins"], acc["parent_wins"], acc["ties"]) == (1, 0, 3)
     assert rss["parent"] == {"median": 153.0, "q1": 151.5, "q3": 154.5}
     assert rss["change"]["median"] == 113.0
+
+
+def _verdicts(parent, change, better="lower", bound=0.1):
+    spec = {"end_to_end": [{"name": "m", "better": better, "bound": bound}]}
+    runs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+    return bench_pairs.summary(runs, spec)["m"]["verdict"]
+
+
+def test_bench_pairs_verdict_follows_wins_spread_and_bound():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    faster = [p - 0.09 for p in parent]  # median gap 0.09 > quartile spread 0.035
+    assert _verdicts(parent, faster) == "gain"
+    # 9 of 10 wins is enough, 8 is not
+    assert _verdicts(parent, faster[:9] + [1.2]) == "gain"
+    assert _verdicts(parent, faster[:8] + [1.2, 1.2]) == "unresolved"
+    # winning every pair by less than the parent's own spread is no gain
+    assert _verdicts(parent, [p - 0.01 for p in parent]) == "unresolved"
+    # ties count for neither side: 9 wins and a tie is still 9 of 10
+    assert _verdicts(parent, faster[:9] + parent[9:]) == "gain"
+    assert _verdicts(parent, faster[:8] + parent[8:]) == "unresolved"
+    # worse only past the relative bound, in the metric's own direction
+    assert _verdicts(parent, [p * 1.09 for p in parent]) == "unresolved"
+    assert _verdicts(parent, [p * 1.12 for p in parent]) == "worse"
+    assert _verdicts(parent, [p * 1.12 for p in parent], better="higher") == "gain"
+    assert _verdicts(parent, [p * 0.88 for p in parent], better="higher") == "worse"
+    assert _verdicts(parent, parent) == "unresolved"
 
 
 def _git(repo, *args):

@@ -11,9 +11,11 @@ runs ``perfbench/run.py`` in each, ``--pairs`` times per workload,
 alternating which side runs first.  Both sides get the same ``--seconds`` and
 ``--workload-seed``.  The JSON file records, per ``<workload>/<seed>``, each
 side's ``env`` line, every run's metrics, and per end-to-end metric each
-side's median and quartiles and how many pairs the change won, lost and
-tied (by the metric's ``better`` direction in BENCHMARK.json).  Sections
-already in ``--out`` for other workloads or seeds are kept.
+side's median and quartiles, how many pairs the change won, lost and
+tied (by the metric's ``better`` direction in BENCHMARK.json) and a verdict
+(``gain``, ``worse`` or ``unresolved``; see :func:`summary`), which is also
+printed, one line per workload and metric.  Sections already in ``--out``
+for other workloads or seeds are kept.
 """
 
 import argparse
@@ -74,7 +76,12 @@ def run_once(checkout, workload, seconds, seed):
 
 
 def summary(runs, spec):
-    """Per metric: each side's median and quartiles, and the change's record."""
+    """Per metric: each side's median and quartiles, the change's record and
+    a verdict.  The verdict is ``gain`` when the change wins at least nine
+    tenths of the pairs (ties count for neither side) and its median beats
+    the parent's by more than the parent's quartile distance, ``worse`` when
+    its median is worse than the parent's by more than the metric's relative
+    ``bound``, and ``unresolved`` otherwise."""
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -88,6 +95,16 @@ def summary(runs, spec):
         entry["change_wins"] = sum(d < 0 if lower else d > 0 for d in deltas)
         entry["parent_wins"] = sum(d > 0 if lower else d < 0 for d in deltas)
         entry["ties"] = deltas.count(0)
+        parent = entry["parent"]
+        # how far the change's median is better than the parent's
+        gain = (parent["median"] - entry["change"]["median"]) * (1 if lower else -1)
+        if (10 * entry["change_wins"] >= 9 * len(runs)
+                and gain > parent["q3"] - parent["q1"]):
+            entry["verdict"] = "gain"
+        elif -gain > metric["bound"] * abs(parent["median"]):
+            entry["verdict"] = "worse"
+        else:
+            entry["verdict"] = "unresolved"
         out[name] = entry
     return out
 
@@ -123,8 +140,14 @@ def main():
                 print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                     f"{side} {pair[side]['op_s']:.3f} s {pair[side]['peak_rss_mb']:.1f} MB"
                     for side in ("parent", "change")), flush=True)
+            table = summary(runs, spec)
             record["runs"][f"{workload}/{args.workload_seed}"] = {
-                "env": envs, "pairs": runs, "summary": summary(runs, spec)}
+                "env": envs, "pairs": runs, "summary": table}
+            for name, entry in table.items():
+                print(f"{workload} {name}: {entry['verdict']} (median parent "
+                      f"{entry['parent']['median']:.6g}, change "
+                      f"{entry['change']['median']:.6g}; change won "
+                      f"{entry['change_wins']} of {args.pairs})", flush=True)
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)
                 fh.write("\n")
