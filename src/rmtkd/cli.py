@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 from .data import SplitSpec, csv_text, load_csv, planted_subspace_task, split
@@ -34,9 +33,9 @@ from .distill import TRAINING_LOG_HEADER, DistillConfig, train_until
 from .errors import ConfigError, GenerationFailure, InvalidInput, RmtkdError
 from .network import (Checkpoint, init_network, load_checkpoint, param_count,
                       save_checkpoint)
-from .reducer import (CompressionPlan, IterationRecord, analyse_layer,
-                      check_calibration_rank, final_accuracy, quantile_ablation,
-                      run_loop)
+from .reducer import (CompressionPlan, IterationRecord, _hidden_layer_index,
+                      analyse_layer, check_calibration_rank, final_accuracy,
+                      quantile_ablation, run_loop)
 from .rng import derive_seed, make_rng, normal
 
 DEFAULT_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -235,24 +234,23 @@ def _warm_up(cfg, parts, log_rows=None):
 def write_outputs(outdir, staged):
     """Atomically write {filename: str|bytes}: temp files, then renames.
 
-    Each file gets the mode a plain ``open()`` would give, 0o666 less the
-    umask, not the 0o600 of its temp file.  A directory where any output
-    goes is refused before the first rename, so that case renames nothing;
-    the writes are atomic per file only, so another rename failure can
-    still leave the files renamed before it.
+    Each temp file ``.<name>.<random hex>`` is created exclusively with mode
+    0o666, which the kernel reduces by the umask: the mode a plain ``open()``
+    would give.  A directory where any output goes is refused before the
+    first rename, so that case renames nothing; the writes are atomic per
+    file only, so another rename failure can still leave the files renamed
+    before it.
     """
     os.makedirs(outdir, exist_ok=True)
-    umask = os.umask(0)  # reading the umask means setting it; put it back
-    os.umask(umask)
     tmp_paths = []
     try:
         for name, content in staged.items():
             data = content.encode("utf-8") if isinstance(content, str) else content
-            fd, tmp = tempfile.mkstemp(dir=outdir, prefix=f".{name}.")
+            tmp = os.path.join(outdir, f".{name}.{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmp_paths.append((tmp, os.path.join(outdir, name)))
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-            os.chmod(tmp, 0o666 & ~umask)
         # a directory in an output's place would stop the renames part-way
         for _, final in tmp_paths:
             if os.path.isdir(final) and not os.path.islink(final):
@@ -298,6 +296,10 @@ def cmd_spectrum(cfg, layer_ordinal):
         raise InvalidInput(f"no checkpoint at {cp_path}; run train with the same "
                            "config first")
     net = load_checkpoint(cp_path).network
+    d = net.layers[_hidden_layer_index(net, layer_ordinal)].out_dim
+    if d != cfg.widths[layer_ordinal]:
+        raise InvalidInput(f"{cp_path}: hidden layer {layer_ordinal} is {d} wide, "
+                           f"widths[{layer_ordinal}] is {cfg.widths[layer_ordinal]}")
     _, _, cal_part = _split_parts(cfg, build_task(cfg))
     if net.input_dim != cal_part.dim:
         raise InvalidInput(f"{cp_path}: the network's input is {net.input_dim} wide, "
@@ -305,9 +307,6 @@ def cmd_spectrum(cfg, layer_ordinal):
     spectrum, model, partition, fit = analyse_layer(net, cal_part.x, layer_ordinal,
                                                     cfg.plan.quantile,
                                                     vectors=False)
-    if spectrum.d != cfg.widths[layer_ordinal]:
-        raise InvalidInput(f"{cp_path}: hidden layer {layer_ordinal} is {spectrum.d} wide, "
-                           f"widths[{layer_ordinal}] is {cfg.widths[layer_ordinal]}")
     edges = fit.bin_edges.tolist()
     staged = {
         "eigenvalues.csv": csv_text(("index", "eigenvalue"),

@@ -2,8 +2,9 @@
 
 All generators are pure functions of (parameters, seed): every random draw
 comes from a counter-based generator seeded explicitly, with Gaussians from
-the package's polar-method sampler, so a dataset is reproducible
-bit-for-bit from its parameters.
+its ``standard_normal`` through :func:`rmtkd.rng.normal`, so a dataset is
+reproducible bit-for-bit from its parameters on the same NumPy and BLAS
+build and CPU.
 """
 
 import math
