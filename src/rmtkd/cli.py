@@ -219,11 +219,13 @@ def _split_parts(cfg, ds):
 
 
 def _warm_up(cfg, parts, log_rows=None):
+    """Train a float32 network from the seed's draws; the spectral analysis
+    of it runs in float64 (reducer._LayerRows)."""
     train_part, val_part, _ = parts
     init_rng = make_rng(derive_seed(cfg.seed, "init"))
     try:
         net = init_network(cfg.widths, train_part.dim, train_part.num_classes,
-                           lambda shape: normal(init_rng, shape))
+                           lambda shape: normal(init_rng, shape).astype("float32"))
     except (ValueError, MemoryError) as e:  # NumPy cannot allocate the weights
         raise ConfigError(f"widths {cfg.widths} too large to allocate: {e}") from None
     warmup_rng = make_rng(derive_seed(cfg.seed, "warmup"))

@@ -22,7 +22,8 @@ TRAINING_LOG_HEADER = ("epoch", "train_loss", "ce_term", "kl_term", "val_accurac
 # that ends in a partial tile, can round differently from the whole product;
 # blocks of whole tiles give its bits.  Seen with OpenBLAS 0.3.31 on its
 # SkylakeX core, as scipy_openblas_get_corename64_() reports at run time
-# (numpy.show_config() names only the Haswell build target).
+# (numpy.show_config() names only the Haswell build target), for float32
+# (sgemm) as for float64 (dgemm) networks.
 TILE = 8
 # Columns per block of an accuracy pass: a multiple of TILE, so every
 # interior block edge falls on a whole BLAS tile.
@@ -143,7 +144,8 @@ def accuracy(net, x, y):
     return hits / x.shape[1]
 
 
-# A diverging run ends in the typed NumericalFailure, not in NumPy warnings.
+# A diverging run ends in the typed NumericalFailure, and data beyond the
+# network's dtype in InvalidInput, not in NumPy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
     """Train until validation accuracy reaches the threshold.
@@ -155,8 +157,9 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
     (earliest epoch on ties).  Returns ``(net, epochs_used, val_accuracy)``.
     ``net`` is trained in place and the returned net is that same object, so
     a caller that needs the starting weights passes ``net.copy()``.
-    Raises NumericalFailure, naming the epoch and batch, at the first
-    non-finite batch loss.
+    The columns are cast to the network's dtype once; InvalidInput if a
+    cast column is not finite.  Raises NumericalFailure, naming the epoch
+    and batch, at the first non-finite batch loss.
 
     ``teacher`` is a frozen network from :func:`snapshot_teacher`.  With no
     teacher, alpha is treated as 1 (pure cross-entropy warm-up).
@@ -164,10 +167,15 @@ def train_until(net, data, cfg, teacher=None, rng=None, log_rows=None):
     with the columns of ``TRAINING_LOG_HEADER``.
     """
     train_part, val_part = data
-    x, y = np.asarray(train_part.x, dtype=np.float64), np.asarray(train_part.y)
-    xv, yv = np.asarray(val_part.x, dtype=np.float64), np.asarray(val_part.y)
+    x, y = np.asarray(train_part.x, dtype=net.dtype), np.asarray(train_part.y)
+    xv, yv = np.asarray(val_part.x, dtype=net.dtype), np.asarray(val_part.y)
     if x.size == 0 or xv.size == 0:
         raise InvalidInput("empty dataset")
+    for name, cols in (("train", x), ("validation", xv)):
+        if not np.all(np.isfinite(cols)):  # a float64 value beyond float32's range
+            raise InvalidInput(
+                f"{name} data is not finite as {net.dtype}, whose range is "
+                f"|x| <= {np.finfo(net.dtype).max:.3g}; rescale the features")
     if rng is None:
         raise InvalidInput("train_until needs a seeded rng for the shuffle order")
     alpha = cfg.alpha if teacher is not None else 1.0

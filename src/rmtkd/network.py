@@ -1,14 +1,16 @@
 """Dense feed-forward networks with manual backpropagation.
 
-Everything is float64 and deliberately simple: layers are dense with an
-optional bias and a relu or identity activation, batches are matrices with
-samples in *columns*, and gradients are computed by hand so they can be
-checked against finite differences.  Frozen layers (the inserted spectral
-projections) take part in the forward pass but receive no gradients and are
-never updated.
+A network computes in the dtype of its weights, float32 or float64, and
+every layer has the same one.  It is deliberately simple: layers are dense
+with an optional bias and a relu or identity activation, batches are
+matrices with samples in *columns*, and gradients are computed by hand so
+they can be checked against finite differences.  Frozen layers (the
+inserted spectral projections) take part in the forward pass but receive
+no gradients and are never updated.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -17,9 +19,11 @@ import numpy as np
 from .errors import CorruptFile, InvalidInput, VersionMismatch
 
 CHECKPOINT_MAGIC = b"RMTK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # The exact keys of the JSON header and of each of its layer specs.
-HEADER_KEYS = {"input_dim", "num_classes", "layers", "metrics"}
+HEADER_KEYS = {"input_dim", "num_classes", "layers", "metrics", "dtype"}
+# The header's "dtype": the width of every stored weight and bias.
+CHECKPOINT_DTYPES = ("f4", "f8")
 LAYER_KEYS = {"out", "in", "activation", "frozen", "has_bias"}
 
 
@@ -31,10 +35,12 @@ class DenseLayer:
     frozen: bool = False
 
     def __post_init__(self):
-        # Own copies: sgd_step updates them in place.
-        self.weights = np.array(self.weights, dtype=np.float64)
+        # Own copies: sgd_step updates them in place.  float32 weights stay
+        # float32; any other weights become float64, and the bias follows.
+        dtype = np.float32 if np.asarray(self.weights).dtype == np.float32 else np.float64
+        self.weights = np.array(self.weights, dtype=dtype)
         if self.bias is not None:
-            self.bias = np.array(self.bias, dtype=np.float64)
+            self.bias = np.array(self.bias, dtype=dtype)
             if self.bias.shape != (self.weights.shape[0],):
                 raise InvalidInput("bias length must equal output width")
         if self.activation not in ("relu", "identity"):
@@ -58,6 +64,11 @@ class Network:
     def __post_init__(self):
         self.check_dims()
 
+    @property
+    def dtype(self):
+        """The dtype every layer computes in: float32 or float64."""
+        return self.layers[0].weights.dtype
+
     def check_dims(self):
         if not self.layers:
             raise InvalidInput("a network needs at least one layer")
@@ -67,6 +78,9 @@ class Network:
                 raise InvalidInput(
                     f"layer {i} expects input {layer.in_dim}, got {prev}"
                 )
+            if layer.weights.dtype != self.dtype:
+                raise InvalidInput(f"layer {i} is {layer.weights.dtype}, "
+                                   f"layer 0 is {self.dtype}")
             prev = layer.out_dim
         if prev != self.num_classes:
             raise InvalidInput("final layer width must equal num_classes")
@@ -80,14 +94,16 @@ def init_network(widths, input_dim, num_classes, rng_normal):
     """He-initialized relu MLP; ``rng_normal(shape)`` supplies the Gaussians.
 
     ``widths`` are the hidden widths; the final identity-activation layer maps
-    to ``num_classes`` logits.
+    to ``num_classes`` logits.  The network has the dtype of the draws.
     """
     dims = [input_dim] + list(widths) + [num_classes]
     layers = []
     for i in range(len(dims) - 1):
-        w = rng_normal((dims[i + 1], dims[i])) * np.sqrt(2.0 / dims[i])
+        # a Python float scale: an np.float64 one would upcast float32 draws
+        w = rng_normal((dims[i + 1], dims[i])) * math.sqrt(2.0 / dims[i])
         act = "identity" if i == len(dims) - 2 else "relu"
-        layers.append(DenseLayer(weights=w, bias=np.zeros(dims[i + 1]), activation=act))
+        layers.append(DenseLayer(weights=w, bias=np.zeros(dims[i + 1], dtype=w.dtype),
+                                 activation=act))
     return Network(layers=layers, input_dim=input_dim, num_classes=num_classes)
 
 
@@ -99,9 +115,10 @@ def forward(net, batch, *, keep_acts=True):
     Pass ``acts`` to :func:`backward` to backpropagate through this pass.
     With ``keep_acts=False`` it returns ``(logits, None)`` and drops each
     activation once the next layer has consumed it, so at most two are
-    alive at a time; the logits are the same bits.
+    alive at a time; the logits are the same bits.  The batch is cast to
+    the network's dtype.
     """
-    a = np.asarray(batch, dtype=np.float64)
+    a = np.asarray(batch, dtype=net.dtype)
     if a.ndim != 2 or a.shape[0] != net.input_dim:
         raise InvalidInput(
             f"batch must be {net.input_dim} x b, got {a.shape}"
@@ -123,9 +140,9 @@ def backward(net, acts, loss_grad_at_logits):
 
     ``acts`` are the activations :func:`forward` returned for the pass whose
     logits the gradient is taken at.  Returns ``{layer_index: (grad_w,
-    grad_b)}`` for non-frozen layers only.
+    grad_b)}`` for non-frozen layers only, in the network's dtype.
     """
-    g = np.asarray(loss_grad_at_logits, dtype=np.float64)
+    g = np.asarray(loss_grad_at_logits, dtype=net.dtype)
     if g.shape != acts[-1].shape:
         raise InvalidInput("gradient shape must match logits")
     grads = {}
@@ -198,8 +215,11 @@ class Checkpoint:
 
 
 def save_checkpoint(cp):
-    """Checkpoint bytes: magic, version, JSON header, raw little-endian f64."""
+    """Checkpoint bytes: magic, version, JSON header, raw little-endian
+    weights and biases at the network's width (header ``dtype``)."""
+    code = "f4" if cp.network.dtype == np.float32 else "f8"
     header = {
+        "dtype": code,
         "input_dim": cp.network.input_dim,
         "num_classes": cp.network.num_classes,
         "layers": [{"out": l.out_dim, "in": l.in_dim, "activation": l.activation,
@@ -211,9 +231,9 @@ def save_checkpoint(cp):
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<I", len(raw)), raw]
     for layer in cp.network.layers:
-        parts.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(layer.weights, dtype="<" + code).tobytes())
         if layer.bias is not None:
-            parts.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+            parts.append(np.ascontiguousarray(layer.bias, dtype="<" + code).tobytes())
     return b"".join(parts)
 
 
@@ -251,6 +271,10 @@ def load_checkpoint(path):
         _check_keys(path, "header", header, HEADER_KEYS)
         if not isinstance(header["metrics"], dict):
             raise CorruptFile(f"{path}: metrics {header['metrics']!r} is not an object")
+        code = header["dtype"]
+        if code not in CHECKPOINT_DTYPES:
+            raise CorruptFile(f"{path}: dtype {code!r} is not 'f4' or 'f8'")
+        dtype, width = "<" + code, int(code[1])
         dims = (header["input_dim"], header["num_classes"])
         if not all(_is_positive_int(dim) for dim in dims):
             raise CorruptFile(f"{path}: input_dim and num_classes {dims!r} are not positive integers")
@@ -264,18 +288,18 @@ def load_checkpoint(path):
                 raise CorruptFile(f"{path}: layer dims {out!r} x {inp!r} are not positive integers")
             if not all(type(spec[flag]) is bool for flag in ("frozen", "has_bias")):
                 raise CorruptFile(f"{path}: layer flags frozen and has_bias must be true or false")
-            nbytes = out * inp * 8
-            w = np.frombuffer(blob[off:off + nbytes], dtype="<f8")
+            nbytes = out * inp * width
+            w = np.frombuffer(blob[off:off + nbytes], dtype=dtype)
             if w.size != out * inp:
                 raise CorruptFile(f"{path}: truncated weights")
             off += nbytes
             w = w.reshape(out, inp)
             bias = None
             if spec["has_bias"]:
-                b = np.frombuffer(blob[off:off + out * 8], dtype="<f8")
+                b = np.frombuffer(blob[off:off + out * width], dtype=dtype)
                 if b.size != out:
                     raise CorruptFile(f"{path}: truncated bias")
-                off += out * 8
+                off += out * width
                 bias = b
             for name, arr in (("weights", w), ("bias", bias)):
                 if arr is not None and not np.all(np.isfinite(arr)):

@@ -70,7 +70,8 @@ def apply_projection(net, proj):
     Returns a new network: a bias-free identity-activation layer with
     weights P follows hidden layer ``proj.layer_id`` (an ordinal), and the
     next trainable layer's weights W (out x d) are warm-started as W P^T
-    (out x k).  The original network is left untouched.
+    (out x k).  P is inserted in the network's dtype, and W P^T is taken
+    with that P.  The original network is left untouched.
     """
     o = proj.layer_id
     i = _hidden_layer_index(net, o)
@@ -82,11 +83,11 @@ def apply_projection(net, proj):
     if net.layers[i + 1].frozen:
         raise AlreadyProjected(f"hidden layer {o} already feeds a projection")
     out = net.copy()
-    p_layer = DenseLayer(weights=proj.matrix, bias=None,
+    p_layer = DenseLayer(weights=proj.matrix.astype(net.dtype), bias=None,
                          activation="identity", frozen=True)
     out.layers.insert(i + 1, p_layer)
     down = out.layers[i + 2]
-    down.weights = down.weights @ proj.matrix.T
+    down.weights = down.weights @ p_layer.weights.T
     out.check_dims()
     return out
 
@@ -104,9 +105,11 @@ class _LayerRows:
     """Row source of the output of ``net.layers[index]`` on ``cal_x``, for
     :func:`compute_covariance`.
 
-    The layers before it run once, at construction.  ``rows[i:j]`` runs
-    ``forward`` on the layer restricted to weight and bias rows i:j, so the
-    full d x n output never exists; the rows are the same bits.
+    The layers before it run once, at construction, in the network's
+    dtype; their output is upcast to float64.  ``rows[i:j]`` runs
+    ``forward`` on the layer restricted to weight and bias rows i:j,
+    upcast to float64 (exact from float32), so the full d x n output never
+    exists and every block is float64; the rows are the same bits.
     """
 
     def __init__(self, net, index, cal_x):
@@ -116,13 +119,14 @@ class _LayerRows:
             prefix = Network(layers=net.layers[:index], input_dim=net.input_dim,
                              num_classes=self.layer.in_dim)
             self.x, _ = forward(prefix, cal_x, keep_acts=False)
+        self.x = np.asarray(self.x, dtype=np.float64)
         self.shape = (self.layer.out_dim,) + np.shape(self.x)[1:]
 
     def __getitem__(self, rows):
         layer = self.layer
-        part = DenseLayer(weights=layer.weights[rows],
-                          bias=None if layer.bias is None else layer.bias[rows],
-                          activation=layer.activation)
+        bias = None if layer.bias is None else layer.bias[rows].astype(np.float64, copy=False)
+        part = DenseLayer(weights=layer.weights[rows].astype(np.float64, copy=False),
+                          bias=bias, activation=layer.activation)
         out, _ = forward(Network(layers=[part], input_dim=part.in_dim,
                                  num_classes=part.out_dim), self.x, keep_acts=False)
         return out

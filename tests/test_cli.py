@@ -404,7 +404,7 @@ def test_exit_1_spectrum_on_v1_checkpoint(tmp_path, capsys):
     cfgp = _write_config(tmp_path, _base_config(out))
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
     err = capsys.readouterr().err
-    assert "format version 1, expected 3" in err and "Traceback" not in err
+    assert "format version 1, expected 4" in err and "Traceback" not in err
 
 
 def test_exit_1_spectrum_on_v2_checkpoint(tmp_path, capsys):
@@ -424,11 +424,29 @@ def test_exit_1_spectrum_on_v2_checkpoint(tmp_path, capsys):
     cfgp = _write_config(tmp_path, _base_config(out))
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
     err = capsys.readouterr().err
-    assert "format version 2, expected 3" in err and "Traceback" not in err
+    assert "format version 2, expected 4" in err and "Traceback" not in err
+
+
+def test_exit_1_spectrum_on_v3_checkpoint(tmp_path, capsys):
+    # a version 3 file, raw float64 weights and no dtype key, is refused as such
+    out = tmp_path / "o"
+    out.mkdir()
+    net = init_network([32], 16, 3, lambda shape: np.zeros(shape))
+    blob = save_checkpoint(Checkpoint(network=net, metrics={}))
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:end])
+    del header["dtype"]
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    (out / "checkpoint.rmtk").write_bytes(
+        blob[:4] + struct.pack("<II", 3, len(raw)) + raw + blob[end:])
+    cfgp = _write_config(tmp_path, _base_config(out))
+    assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "format version 3, expected 4" in err and "Traceback" not in err
 
 
 def test_exit_1_spectrum_on_checkpoint_with_unknown_header_key(tmp_path, capsys):
-    # a version 3 file whose header still lists the old step history
+    # a current-version file whose header still lists the old step history
     out = tmp_path / "o"
     out.mkdir()
     net = init_network([32], 16, 3, lambda shape: np.zeros(shape))
@@ -450,9 +468,9 @@ def test_exit_1_spectrum_on_checkpoint_without_layers(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
     raw = json.dumps({"input_dim": 16, "num_classes": 3, "layers": [],
-                      "metrics": {}}).encode("utf-8")
+                      "metrics": {}, "dtype": "f4"}).encode("utf-8")
     cp = out / "checkpoint.rmtk"
-    cp.write_bytes(b"RMTK" + struct.pack("<II", 3, len(raw)) + raw)
+    cp.write_bytes(b"RMTK" + struct.pack("<II", 4, len(raw)) + raw)
     cfgp = _write_config(tmp_path, _base_config(out))
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
     assert capsys.readouterr().err == f"error: {cp}: a network needs at least one layer\n"
@@ -465,6 +483,27 @@ def test_exit_1_csv_task_too_small_to_stratify(tmp_path, capsys):
     raw["task"] = {"kind": "csv", "path": str(data_path)}
     assert main(["train", "--config", _write_config(tmp_path, raw)]) == 1
     assert capsys.readouterr().err == "error: class 0 has too few examples to stratify\n"
+
+
+def test_exit_1_csv_task_beyond_float32_range(tmp_path, capsys):
+    # finite float64 cells that overflow the float32 the network trains in
+    # are refused as data, not reported as a diverged training run
+    rng = make_rng(0)
+    x = np.concatenate([normal(rng, (3, 80), std=0.4) + 2.0,
+                        normal(rng, (3, 80), std=0.4) - 2.0], axis=1)
+    x[2] *= 1e39
+    data_path = tmp_path / "huge.csv"
+    save_csv(Dataset(x=x, y=np.array([0] * 80 + [1] * 80), num_classes=2), data_path)
+    raw = _base_config(tmp_path / "o")
+    raw["task"] = {"kind": "csv", "path": str(data_path)}
+    raw["widths"] = [8]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", _write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == (
+        "error: train data is not finite as float32, whose range is "
+        "|x| <= 3.4e+38; rescale the features\n")
+    assert not (tmp_path / "o" / "checkpoint.rmtk").exists()
 
 
 def test_exit_1_csv_task_not_utf8(tmp_path, capsys):
@@ -481,7 +520,7 @@ def test_exit_1_spectrum_on_checkpoint_header_nested_too_deep(tmp_path, capsys):
     out.mkdir()
     raw = b"[" * 200000
     cp = out / "checkpoint.rmtk"
-    cp.write_bytes(b"RMTK" + struct.pack("<II", 3, len(raw)) + raw)
+    cp.write_bytes(b"RMTK" + struct.pack("<II", 4, len(raw)) + raw)
     cfgp = _write_config(tmp_path, _base_config(out))
     assert main(["spectrum", "--config", cfgp, "--layer", "0"]) == 1
     err = capsys.readouterr().err

@@ -233,8 +233,10 @@ def test_accuracy_hand():
     assert accuracy(net, x, np.array([1, 1])) == 0.5
 
 
-def _wide_net_and_columns(n):
-    net = init_network([512, 512, 512], 16, 10, lambda s: normal(make_rng(6), s))
+def _wide_net_and_columns(n, dtype=np.float64):
+    rng = make_rng(6)
+    net = init_network([512, 512, 512], 16, 10,
+                       lambda s: normal(rng, s).astype(dtype, copy=False))
     x = normal(make_rng(7), (16, n))
     return net, x, np.arange(n) % 10
 
@@ -258,9 +260,13 @@ def test_eval_block_is_whole_tiles():
     assert EVAL_BLOCK % TILE == 0
 
 
-@pytest.mark.parametrize("n", [1, 7, 1000, 1023, 1024, 1025, 2049, 4000, 4100, 5003])
-def test_blocked_accuracy_equals_one_pass(n, monkeypatch):
-    net, x, y = _wide_net_and_columns(n)
+@pytest.mark.parametrize("n, dtype", [
+    *[pytest.param(n, np.float64, id=str(n))
+      for n in (1, 7, 1000, 1023, 1024, 1025, 2049, 4000, 4100, 5003)],
+    *[pytest.param(n, np.float32, id=f"float32-{n}") for n in (1600, 4000, 4096, 5003)],
+])
+def test_blocked_accuracy_equals_one_pass(n, dtype, monkeypatch):
+    net, x, y = _wide_net_and_columns(n, dtype)
     one_pass = float(np.mean(np.argmax(forward(net, x)[0], axis=0) == y))
     widths = []
 

@@ -22,9 +22,9 @@ def _tiny_net():
     return Network(layers=[l0, l1], input_dim=3, num_classes=1)
 
 
-def _rnd_normal(seed):
+def _rnd_normal(seed, dtype=np.float64):
     rng = make_rng(seed)
-    return lambda shape: normal(rng, shape)
+    return lambda shape: normal(rng, shape).astype(dtype, copy=False)
 
 
 # ------------------------------------------------------------- construction
@@ -405,17 +405,23 @@ def test_checkpoint_roundtrip_byte_exact(tmp_path):
         assert a.frozen == b.frozen and a.activation == b.activation
 
 
-def test_checkpoint_v3_layout():
-    # magic, version 3, header length, JSON header, then only the raw weights
-    net = init_network([3], 2, 2, _rnd_normal(7))
+@pytest.mark.parametrize("code, dtype", [("f4", np.float32), ("f8", np.float64)])
+def test_checkpoint_v4_layout(tmp_path, code, dtype):
+    # magic, version 4, header length, JSON header, then only the raw weights
+    # at the width the header's dtype names
+    net = init_network([3], 2, 2, _rnd_normal(7, dtype))
     blob = save_checkpoint(Checkpoint(network=net, metrics={"val_accuracy": 0.5}))
-    assert blob[:4] == b"RMTK" and struct.unpack("<I", blob[4:8])[0] == 3
+    assert blob[:4] == b"RMTK" and struct.unpack("<I", blob[4:8])[0] == 4
     hlen = struct.unpack("<I", blob[8:12])[0]
     header = json.loads(blob[12:12 + hlen])
-    assert set(header) == {"input_dim", "num_classes", "layers", "metrics"}
-    assert header["metrics"] == {"val_accuracy": 0.5}
-    assert blob[12 + hlen:] == b"".join(a.astype("<f8").tobytes()
+    assert set(header) == {"input_dim", "num_classes", "layers", "metrics", "dtype"}
+    assert header["metrics"] == {"val_accuracy": 0.5} and header["dtype"] == code
+    assert blob[12 + hlen:] == b"".join(a.astype("<" + code).tobytes()
                                         for l in net.layers for a in (l.weights, l.bias))
+    assert len(blob) - 12 - hlen == (3 * 2 + 3 + 2 * 3 + 2) * np.dtype(dtype).itemsize
+    p = tmp_path / "c.rmtk"
+    p.write_bytes(blob)
+    assert load_checkpoint(p).network.dtype == dtype
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -429,29 +435,31 @@ def test_checkpoint_version_mismatch(tmp_path):
     net = init_network([3], 2, 2, _rnd_normal(7))
     blob = save_checkpoint(Checkpoint(network=net, metrics={}))
     p = tmp_path / "v.rmtk"
-    # version 1 still held the generator state, version 2 a step history
-    for version in (1, 2):
+    # version 1 still held the generator state, version 2 a step history,
+    # version 3 float64 weights with no dtype key
+    for version in (1, 2, 3):
         p.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(VersionMismatch) as ei:
             load_checkpoint(p)
-        assert f"format version {version}, expected 3" in str(ei.value)
+        assert f"format version {version}, expected 4" in str(ei.value)
 
 
 def test_checkpoint_truncation(tmp_path):
-    net = init_network([3], 2, 2, _rnd_normal(8))
-    cp = Checkpoint(network=net, metrics={})
     p = tmp_path / "t.rmtk"
-    blob = save_checkpoint(cp)
-    p.write_bytes(blob[:-9])
-    with pytest.raises(CorruptFile):
-        load_checkpoint(p)
-    # the last layer is 2 x 3 weights then 2 biases, 8 bytes each
-    hlen = struct.unpack("<I", blob[8:12])[0]
-    for cut, what in ((blob[:12 + hlen - 1], "header"), (blob[:-8], "bias"),
-                      (blob[:-24], "weights")):
-        p.write_bytes(cut)
-        with pytest.raises(CorruptFile, match=f"truncated {what}$"):
+    for dtype in (np.float64, np.float32):
+        net = init_network([3], 2, 2, _rnd_normal(8, dtype))
+        blob = save_checkpoint(Checkpoint(network=net, metrics={}))
+        width = np.dtype(dtype).itemsize
+        p.write_bytes(blob[:-width - 1])
+        with pytest.raises(CorruptFile):
             load_checkpoint(p)
+        # the last layer is 2 x 3 weights then 2 biases, of ``width`` bytes each
+        hlen = struct.unpack("<I", blob[8:12])[0]
+        for cut, what in ((blob[:12 + hlen - 1], "header"), (blob[:-width], "bias"),
+                          (blob[:-3 * width], "weights")):
+            p.write_bytes(cut)
+            with pytest.raises(CorruptFile, match=f"truncated {what}$"):
+                load_checkpoint(p)
 
 
 def _with_header(blob, edit):
@@ -496,6 +504,12 @@ def _set(key, value, layer=None):
     (_set("bias", True, layer=1), "layer spec 1 has unknown key 'bias'"),
     (_set("metrics", [["val_accuracy", 0.5]]),
      "metrics [['val_accuracy', 0.5]] is not an object"),
+    # the weights' width is one of two names
+    (lambda h: {k: v for k, v in h.items() if k != "dtype"},
+     "header has no key 'dtype'"),
+    (_set("dtype", "f2"), "dtype 'f2' is not 'f4' or 'f8'"),
+    (_set("dtype", "<f8"), "dtype '<f8' is not 'f4' or 'f8'"),
+    (_set("dtype", ["f8"]), "dtype ['f8'] is not 'f4' or 'f8'"),
 ])
 def test_checkpoint_malformed_header(tmp_path, edit, why):
     net = init_network([3], 2, 2, _rnd_normal(8))
@@ -524,10 +538,11 @@ def test_checkpoint_trailing_bytes(tmp_path):
                                                 (1, "bias", np.inf),
                                                 (1, "bias", -np.inf)])
 def test_checkpoint_non_finite_parameter(tmp_path, layer, name, value):
-    net = init_network([3], 2, 2, _rnd_normal(8))
-    getattr(net.layers[layer], name).flat[0] = value
     p = tmp_path / "n.rmtk"
-    p.write_bytes(save_checkpoint(Checkpoint(network=net, metrics={})))
-    with pytest.raises(CorruptFile) as ei:
-        load_checkpoint(p)
-    assert str(ei.value) == f"{p}: layer {layer} {name} are not all finite"
+    for dtype in (np.float64, np.float32):
+        net = init_network([3], 2, 2, _rnd_normal(8, dtype))
+        getattr(net.layers[layer], name).flat[0] = value
+        p.write_bytes(save_checkpoint(Checkpoint(network=net, metrics={})))
+        with pytest.raises(CorruptFile) as ei:
+            load_checkpoint(p)
+        assert str(ei.value) == f"{p}: layer {layer} {name} are not all finite"

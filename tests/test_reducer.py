@@ -312,6 +312,36 @@ def test_layer_rows_match_the_full_activation():
         assert np.max(np.abs(cov - ref)) <= bound
 
 
+def test_layer_rows_of_a_float32_net_are_float64_bits():
+    # the prefix runs in float32; the analysed layer runs in float64 on the
+    # upcast prefix output with its upcast rows, so every block compute_covariance
+    # reads is float64 and is that float64 forward, bit for bit
+    rng = make_rng(43)
+    net = init_network([24, 20], 16, 3, lambda s: normal(rng, s).astype(np.float32))
+    projected = apply_projection(net, Projection(matrix=_ortho(24, seed=44)[:10],
+                                                 layer_id=0))
+    cal_x = normal(rng, (16, 300))
+    for model_net in (net, projected):
+        for ordinal in (0, 1):
+            index = _hidden_layer_index(model_net, ordinal)
+            x = cal_x
+            if index:
+                prefix = Network(layers=model_net.layers[:index], input_dim=16,
+                                 num_classes=model_net.layers[index].in_dim)
+                x = forward(prefix, cal_x)[0].astype(np.float64)
+            layer = model_net.layers[index]
+            upcast = DenseLayer(weights=layer.weights.astype(np.float64),
+                                bias=layer.bias.astype(np.float64))
+            expected, _ = forward(Network(layers=[upcast], input_dim=layer.in_dim,
+                                          num_classes=layer.out_dim), x)
+            rows = reducer._LayerRows(model_net, index, cal_x)
+            assert rows.shape == expected.shape
+            for r in range(0, rows.shape[0], COV_BLOCK):
+                block = rows[r:r + COV_BLOCK]
+                assert block.dtype == np.float64
+                assert np.array_equal(block, expected[r:r + COV_BLOCK])
+
+
 def test_layer_rows_check_the_last_block():
     rng = make_rng(40)
     net = init_network([1100], 16, 3, lambda s: normal(rng, s))
